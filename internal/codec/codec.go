@@ -143,6 +143,7 @@ const (
 	containerV2   = 2
 	maxCodecName  = 32      // v2 name length bound (sanity, not a format limit)
 	maxFrameCount = 1 << 20 // implausibility bound on the header frame count
+	maxDimension  = 1 << 14 // implausibility bound on header width and height (16K)
 )
 
 // legacyCodecByte is the closed v1 tag table. Frozen: new codecs get v2
@@ -203,6 +204,11 @@ func DecodeHeader(data []byte) (Header, error) {
 	hd.FrameCount = int(binary.LittleEndian.Uint32(data[off+10 : off+14]))
 	if hd.FrameCount < 0 || hd.FrameCount > maxFrameCount {
 		return hd, fmt.Errorf("codec: implausible frame count %d", hd.FrameCount)
+	}
+	// Decoders allocate the frames the header declares, so dimensions are
+	// validated here, before any decoder sees them.
+	if hd.Width < 1 || hd.Width > maxDimension || hd.Height < 1 || hd.Height > maxDimension {
+		return hd, fmt.Errorf("codec: implausible dimensions %dx%d", hd.Width, hd.Height)
 	}
 	off += 14
 	hd.tableOff = off

@@ -43,6 +43,9 @@ func (r *residReader) next() (int, error) {
 // for Δ dependencies you do not return — is exactly the look-back cost the
 // planner's c_l models.
 func (c lossyCodec) DecodeRange(data []byte, hd Header, from, to int) ([]*frame.Frame, error) {
+	if err := frame.YUV420.Validate(hd.Width, hd.Height); err != nil {
+		return nil, fmt.Errorf("codec: %s: %w", c.id, err)
+	}
 	prof := c.prof
 	q := quantizer(hd.Quality)
 	payloads, err := framePayloads(data, hd)

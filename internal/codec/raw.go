@@ -36,6 +36,9 @@ func (rawCodec) DecodeRange(data []byte, hd Header, from, to int) ([]*frame.Fram
 	if err != nil {
 		return nil, err
 	}
+	if err := hd.PixFmt.Validate(hd.Width, hd.Height); err != nil {
+		return nil, fmt.Errorf("codec: raw: %w", err)
+	}
 	want := hd.PixFmt.Size(hd.Width, hd.Height)
 	out := make([]*frame.Frame, 0, to-from)
 	for i := from; i < to; i++ {

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/frame"
@@ -32,17 +33,17 @@ func matchesOutput(p *PhysMeta, r resolvedSpec) bool {
 		(!r.codec.Compressed() || p.Quality == r.quality)
 }
 
-// admitLocked decides whether to cache the result of a read as a new
-// physical video, and does so. Returns whether the result was admitted.
-// fragIDs are the physical-video IDs the plan used (revalidated against
-// the video's current state, which may have changed since planning —
-// admission runs after the lock was dropped for the compute phase).
-func (s *Store) admitLocked(vs *videoState, job *readJob, fragIDs []int, parentMSE float64) (bool, error) {
+// admitLocked decides whether to cache the result of a read — its
+// buffered output a — as a new physical video, and does so. Returns
+// whether the result was admitted. fragIDs are the physical-video IDs
+// the plan used (revalidated against the video's current state, which
+// may have changed since planning — admission runs after the lock was
+// dropped for the compute phase).
+func (s *Store) admitLocked(vs *videoState, r resolvedSpec, a *admitBuf, fragIDs []int, parentMSE float64) (bool, error) {
 	if s.opts.DisableCache {
 		return false, nil
 	}
-	r := job.r
-	frames, encoded, mbpp := job.outFrames, job.outGOPs, job.mbpp
+	mbpp := a.mbpp(r.roiW, r.roiH)
 	v := vs.meta
 	// A read served entirely by one fragment already in the output
 	// configuration adds no information: skip.
@@ -84,7 +85,7 @@ func (s *Store) admitLocked(vs *videoState, job *readJob, fragIDs []int, parentM
 	if r.codec.Compressed() {
 		p.PixFmt = frame.YUV420
 		framesSoFar := 0
-		for _, data := range encoded {
+		for _, data := range a.gops {
 			hd, err := codec.DecodeHeader(data)
 			if err != nil {
 				return false, err
@@ -98,32 +99,17 @@ func (s *Store) admitLocked(vs *videoState, job *readJob, fragIDs []int, parentM
 			})
 			framesSoFar += hd.FrameCount
 		}
-		s.maybeSampleQuality(job.sampleRef, job.sampleGOP, mbpp)
+		s.maybeSampleQuality(a.sampleRef, a.sampleGOP, mbpp)
 	} else {
 		// Raw views are cached in the requested pixel layout so identical
-		// future reads are pure IO. Phase B already produced the frames in
-		// that layout (job.outConv, index-aligned with outFrames) — reuse
-		// them rather than re-converting under the video lock.
-		outFmt := frame.PixelFormat(r.pixfmt)
-		p.PixFmt = outFmt
-		conv := job.outConv
-		gopN := rawGOPFrames(s.opts.RawBlockBytes, outFmt, r.roiW, r.roiH, s.opts.GOPFrames)
+		// future reads are pure IO; phase B already produced the frames in
+		// that layout.
+		frames := a.frames
+		p.PixFmt = frame.PixelFormat(r.pixfmt)
+		gopN := rawGOPFrames(s.opts.RawBlockBytes, p.PixFmt, r.roiW, r.roiH, s.opts.GOPFrames)
 		for i := 0; i < len(frames); i += gopN {
-			j := i + gopN
-			if j > len(frames) {
-				j = len(frames)
-			}
-			chunk := make([]*frame.Frame, j-i)
-			for k := i; k < j; k++ {
-				switch {
-				case k < len(conv):
-					chunk[k-i] = conv[k]
-				case frames[k].Format == outFmt:
-					chunk[k-i] = frames[k]
-				default:
-					chunk[k-i] = frames[k].Convert(outFmt)
-				}
-			}
+			j := min(i+gopN, len(frames))
+			chunk := frames[i:j]
 			data, _, err := codec.EncodeGOP(chunk, codec.Raw, 0)
 			if err != nil {
 				return false, err
@@ -208,12 +194,19 @@ func (s *Store) maybeSampleQuality(frames []*frame.Frame, gop []byte, mbpp float
 	s.est.Observe(mbpp, sum/float64(n))
 }
 
-// evictCandidate scores one GOP page.
+// evictCandidate scores one GOP page (eviction and deferred-compression
+// victim choice).
 type evictCandidate struct {
 	phys  *PhysMeta
 	seq   int
 	score float64
 	bytes int64
+}
+
+// tieBreak orders pages whose scores tie by phys ID, then seq, so victim
+// choice depends on the store's state, never on map iteration order.
+func (c evictCandidate) tieBreak(d evictCandidate) int {
+	return cmp.Or(cmp.Compare(c.phys.ID, d.phys.ID), cmp.Compare(c.seq, d.seq))
 }
 
 // evictLocked enforces the video's storage budget using LRU_VSS
@@ -258,7 +251,9 @@ func (s *Store) evictLocked(vs *videoState) error {
 			cands = append(cands, evictCandidate{phys: p, seq: g.Seq, score: score, bytes: g.Bytes})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].score < cands[j].score })
+	slices.SortFunc(cands, func(a, b evictCandidate) int {
+		return cmp.Or(cmp.Compare(a.score, b.score), a.tieBreak(b))
+	})
 
 	dirty := map[int]*PhysMeta{}
 	for _, c := range cands {

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -241,6 +244,59 @@ func TestLegacyFlateBlockGOPStillReads(t *testing.T) {
 	for i := range before.Frames {
 		if !bytes.Equal(before.Frames[i].Data, after.Frames[i].Data) {
 			t.Fatalf("frame %d changed through the legacy flate block", i)
+		}
+	}
+}
+
+// TestVictimChoiceDeterministic pins eviction and deferred-compression
+// victims to the store's state rather than map iteration order: pages
+// whose LRU_VSS scores tie are ordered by phys ID, then seq, so two
+// identical stores under the same reads and budget evict and compress
+// the same pages.
+func TestVictimChoiceDeterministic(t *testing.T) {
+	state := func(budget int64) string {
+		s := newStore(t, Options{OrdinaryLRU: true})
+		writeVideo(t, s, "v", scene(32, 64, 48, 26), 4, codec.H264)
+		orig, err := s.TotalBytes("v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs := s.acquire("v")
+		vs.meta.Budget = budget * orig
+		vs.mu.Unlock()
+		for _, p := range []Physical{{}, {Codec: codec.HEVC}} {
+			for _, span := range [][2]float64{{0, 4}, {4, 8}, {0, 8}, {2, 6}} {
+				if _, err := s.Read("v", ReadSpec{T: Temporal{Start: span[0], End: span[1]}, P: p}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		vs = s.acquire("v")
+		defer vs.mu.Unlock()
+		var ids []int
+		for id := range vs.phys {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		var b strings.Builder
+		for _, id := range ids {
+			p := vs.phys[id]
+			fmt.Fprintf(&b, "phys %d %s:", id, p.Codec)
+			for _, g := range p.GOPs {
+				fmt.Fprintf(&b, " %d/%d", g.Seq, g.Lossless)
+			}
+			b.WriteString("\n")
+		}
+		return b.String()
+	}
+	// At 3x the original's size the reads force evictions among tied
+	// pages; at 8x they force deferred compression among tied pages too.
+	for _, budget := range []int64{3, 8} {
+		want := state(budget)
+		for i := 0; i < 4; i++ {
+			if got := state(budget); got != want {
+				t.Fatalf("budget %dx, store %d: state\n%s\nwant\n%s", budget, i+2, got, want)
+			}
 		}
 	}
 }

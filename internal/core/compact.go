@@ -85,14 +85,14 @@ func (s *Store) findCompactablePairLocked(vs *videoState) (*PhysMeta, *PhysMeta)
 // holds the video's lock.
 func (s *Store) mergeLocked(vs *videoState, a, b *PhysMeta) error {
 	v := vs.meta
-	frameOffset := 0
+	// Linked GOPs are numbered past the largest surviving seq: after
+	// front eviction len(a.GOPs) names a surviving GOP file.
+	frameOffset, nextSeq := 0, 0
 	for i := range a.GOPs {
 		g := &a.GOPs[i]
-		if g.StartFrame+g.Frames > frameOffset {
-			frameOffset = g.StartFrame + g.Frames
-		}
+		frameOffset = max(frameOffset, g.StartFrame+g.Frames)
+		nextSeq = max(nextSeq, g.Seq+1)
 	}
-	nextSeq := len(a.GOPs)
 	for i := range b.GOPs {
 		g := b.GOPs[i]
 		if err := s.files.LinkGOP(v.Name, b.Dir, g.Seq, v.Name, a.Dir, nextSeq); err != nil {

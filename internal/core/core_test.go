@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/frame"
 	"repro/internal/quality"
+	"repro/internal/storage"
 )
 
 // scene synthesizes n frames of moving traffic-like content at w x h.
@@ -573,6 +577,151 @@ func TestCompaction(t *testing.T) {
 	}
 	if res.FrameCount() != 32 {
 		t.Errorf("frame count %d", res.FrameCount())
+	}
+}
+
+// TestCompactionAfterFrontEviction pins GOP numbering when compaction
+// merges into a view whose front pages were evicted: the linked GOPs
+// must take sequence numbers past the survivors', not collide with a
+// surviving GOP file.
+func TestCompactionAfterFrontEviction(t *testing.T) {
+	s := newStore(t, Options{BudgetMultiple: -1})
+	writeVideo(t, s, "v", scene(32, 64, 48, 25), 4, codec.H264)
+	hevc := Physical{Codec: codec.HEVC}
+	for _, span := range [][2]float64{{0, 4}, {4, 8}} {
+		if _, err := s.Read("v", ReadSpec{T: Temporal{Start: span[0], End: span[1]}, P: hevc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Evict the front page of the first view, as LRU_VSS would, and
+	// record the surviving pages' bytes in time order.
+	vs := s.acquire("v")
+	var a, b *PhysMeta
+	for _, p := range vs.phys {
+		switch {
+		case p.Orig:
+		case p.Start < timeEps:
+			a = p
+		default:
+			b = p
+		}
+	}
+	if a == nil || b == nil || len(a.GOPs) != 2 {
+		vs.mu.Unlock()
+		t.Fatal("views [0,4) and [4,8) not cached as expected")
+	}
+	if err := s.removeGOPLocked(vs, a, &a.GOPs[0]); err != nil {
+		vs.mu.Unlock()
+		t.Fatal(err)
+	}
+	if err := s.savePhys("v", a); err != nil {
+		vs.mu.Unlock()
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for _, p := range []*PhysMeta{a, b} {
+		for _, g := range p.GOPs {
+			data, err := s.readGOP(context.Background(), "v", p.Dir, g.Seq, g.Bytes)
+			if err != nil {
+				vs.mu.Unlock()
+				t.Fatal(err)
+			}
+			want = append(want, data)
+		}
+	}
+	vs.mu.Unlock()
+
+	if merges, err := s.CompactVideo("v"); err != nil || merges != 1 {
+		t.Fatalf("CompactVideo = %d, %v; want 1 merge", merges, err)
+	}
+	check := func(label string) {
+		t.Helper()
+		res, err := s.Read("v", ReadSpec{T: Temporal{Start: 2, End: 8}, P: hevc})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if res.Stats.PlanRuns != 1 || res.Stats.GOPsDecoded != 0 {
+			t.Errorf("%s: plan runs %d, decoded %d; want one passthrough run",
+				label, res.Stats.PlanRuns, res.Stats.GOPsDecoded)
+		}
+		if len(res.GOPs) != len(want) {
+			t.Fatalf("%s: %d GOPs, want %d", label, len(res.GOPs), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(res.GOPs[i], want[i]) {
+				t.Errorf("%s: GOP %d differs from the page it was linked from", label, i)
+			}
+		}
+	}
+	check("after compaction")
+	if err := s.Maintain(); err != nil {
+		t.Fatalf("Maintain after compaction: %v", err)
+	}
+	check("after Maintain")
+}
+
+// TestMaintainIsolatesFailingVideo plants a video whose deferred
+// compression fails on every pass — its raw cache pages are gone from
+// the backend — and proves Maintain still compacts and backfills every
+// other video and snapshots the catalog, returning the failure joined.
+func TestMaintainIsolatesFailingVideo(t *testing.T) {
+	s := newStore(t, Options{SnapshotCatalog: true})
+	// "a-bad" sorts first, so each pass meets it before the healthy video.
+	writeVideo(t, s, "a-bad", scene(16, 64, 48, 27), 4, codec.H264)
+	vs := s.acquire("a-bad")
+	vs.meta.Budget = 0 // unlimited while the raw view is cached whole
+	vs.mu.Unlock()
+	if _, err := s.Read("a-bad", ReadSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	vs = s.acquire("a-bad")
+	for _, p := range vs.phys {
+		for _, g := range p.GOPs {
+			if !p.Orig {
+				if err := s.files.DeleteGOP("a-bad", p.Dir, g.Seq); err != nil {
+					vs.mu.Unlock()
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	vs.meta.Budget = vs.totalBytes() // over the deferred-compression threshold
+	vs.mu.Unlock()
+
+	writeVideo(t, s, "b-good", scene(32, 64, 48, 28), 4, codec.Raw)
+	for _, span := range [][2]float64{{0, 4}, {4, 8}} {
+		if _, err := s.Read("b-good", ReadSpec{T: Temporal{Start: span[0], End: span[1]}, P: Physical{Codec: codec.HEVC}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for pass := 1; pass <= 2; pass++ {
+		err := s.Maintain()
+		if err == nil || !strings.Contains(err.Error(), "a-bad") {
+			t.Fatalf("pass %d: Maintain = %v, want the failing video's error", pass, err)
+		}
+	}
+	_, phys, err := s.Info("b-good")
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := 0
+	for _, p := range phys {
+		if p.Orig {
+			for _, g := range p.GOPs {
+				if g.Summary == nil {
+					t.Errorf("b-good GOP %d not backfilled", g.Seq)
+				}
+			}
+		} else {
+			views++
+		}
+	}
+	if views != 1 {
+		t.Errorf("b-good has %d cached views after Maintain, want 1 (compacted)", views)
+	}
+	if _, err := s.files.ReadGOP(storage.CatalogSnapshotVideo, storage.CatalogSnapshotDir, 0); err != nil {
+		t.Errorf("catalog snapshot not written: %v", err)
 	}
 }
 

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"sort"
+	"fmt"
+	"log/slog"
+	"slices"
 	"time"
 
 	"repro/internal/codec"
@@ -61,12 +64,7 @@ func (s *Store) DeferredLevel(video string) int {
 // was compressed. Caller holds the video's lock.
 func (s *Store) compressOneLocked(vs *videoState, level int) (bool, error) {
 	v := vs.meta
-	type cand struct {
-		phys  *PhysMeta
-		seq   int
-		score float64
-	}
-	var cands []cand
+	var cands []evictCandidate
 	for _, p := range vs.phys {
 		if p.Codec != codec.Raw {
 			continue
@@ -82,14 +80,15 @@ func (s *Store) compressOneLocked(vs *videoState, level int) (bool, error) {
 				pos = n - 1 - i
 			}
 			score := float64(g.LRU) + s.opts.Gamma*float64(pos) - s.opts.Zeta*float64(s.redundancyLocked(vs, p, g))
-			cands = append(cands, cand{p, g.Seq, score})
+			cands = append(cands, evictCandidate{phys: p, seq: g.Seq, score: score})
 		}
 	}
 	if len(cands) == 0 {
 		return false, nil
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
-	c := cands[0]
+	c := slices.MinFunc(cands, func(a, b evictCandidate) int {
+		return cmp.Or(cmp.Compare(b.score, a.score), a.tieBreak(b))
+	})
 	g := findGOP(c.phys, c.seq)
 	data, err := s.readGOP(context.Background(), v.Name, c.phys.Dir, g.Seq, g.Bytes)
 	if err != nil {
@@ -173,45 +172,51 @@ func (s *Store) backfillSummariesLocked(vs *videoState) error {
 const tempSweepAge = time.Hour
 
 // Maintain runs one background maintenance pass over every video:
-// deferred compression pressure and physical video compaction, then a
-// sweep of crash-orphaned write temp files (unique temp names mean no
-// later write ever renames an orphan away, and doing the full-tree walk
-// here keeps it off the open and foreground paths), and finally — when
-// the backend keeps redundant copies — a replication scrub that
-// re-copies missing or stale replicas from a healthy copy so a
-// briefly-degraded shard root converges back to full R-way replication
-// (ScrubStats are surfaced via ReplicationStats and vssd /metrics). The
-// paper runs maintenance "in a background thread when no other requests
-// are being executed" and "periodically and non-quiescently". It holds
-// at most one video's lock at a time, so it never blocks foreground
-// reads and writes of other videos.
+// deferred compression pressure, physical video compaction, and summary
+// backfill, then a sweep of crash-orphaned write temp files (unique temp
+// names mean no later write ever renames an orphan away, and doing the
+// full-tree walk here keeps it off the open and foreground paths), and
+// finally — when the backend keeps redundant copies — a replication
+// scrub that re-copies missing or stale replicas from a healthy copy so
+// a briefly-degraded shard root converges back to full R-way
+// replication (ScrubStats are surfaced via ReplicationStats and vssd
+// /metrics). The paper runs maintenance "in a background thread when no
+// other requests are being executed" and "periodically and
+// non-quiescently". It holds at most one video's lock at a time, so it
+// never blocks foreground reads and writes of other videos.
+//
+// Failures are contained per video and per phase: a video whose pages
+// persistently fail must not stop the repair of every other video, the
+// sweep, the scrub, or the catalog backup. Every phase runs, and the
+// errors return joined.
 func (s *Store) Maintain() error {
+	var errs []error
 	for _, name := range s.videoNames() {
-		vs := s.acquire(name)
-		if vs == nil {
-			continue // deleted while we iterated
-		}
-		err := func() error {
-			defer vs.mu.Unlock()
-			if err := s.deferredPressureLocked(vs); err != nil {
-				return err
-			}
-			if _, err := s.compactLocked(vs); err != nil {
-				return err
-			}
-			return s.backfillSummariesLocked(vs)
-		}()
-		if err != nil {
-			return err
+		if err := s.maintainVideo(name); err != nil {
+			errs = append(errs, fmt.Errorf("core: maintain %s: %w", name, err))
 		}
 	}
 	// The scrub must run even when the temp sweep fails: a root degraded
 	// enough to error the sweep is exactly the situation whose lost
 	// replicas the scrub re-copies onto the healthy roots (Scrub itself
-	// tolerates unwalkable shards). Both errors surface, joined. The
-	// catalog snapshot (Options.SnapshotCatalog) goes last so the
-	// replicated copy reflects this pass's compaction and repairs.
-	return errors.Join(s.files.SweepTemps(tempSweepAge), s.scrub(), s.snapshotCatalog())
+	// tolerates unwalkable shards). The catalog snapshot
+	// (Options.SnapshotCatalog) goes last so the replicated copy reflects
+	// this pass's compaction and repairs.
+	errs = append(errs, s.files.SweepTemps(tempSweepAge), s.scrub(), s.snapshotCatalog())
+	return errors.Join(errs...)
+}
+
+// maintainVideo runs the per-video phases of Maintain under the video's
+// lock, each one whether or not an earlier one failed.
+func (s *Store) maintainVideo(name string) error {
+	vs := s.acquire(name)
+	if vs == nil {
+		return nil // deleted while we iterated
+	}
+	defer vs.mu.Unlock()
+	deferredErr := s.deferredPressureLocked(vs)
+	_, compactErr := s.compactLocked(vs)
+	return errors.Join(deferredErr, compactErr, s.backfillSummariesLocked(vs))
 }
 
 // snapshotCatalog replicates the metadata catalog into the storage
@@ -245,9 +250,9 @@ func (s *Store) StartBackground(interval time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				// Maintenance is best-effort; errors surface on the next
-				// foreground operation.
-				_ = s.Maintain()
+				if err := s.Maintain(); err != nil {
+					slog.Error("core: background maintenance pass failed", "err", err)
+				}
 			}
 		}
 	}()

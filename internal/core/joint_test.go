@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"io"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/frame"
@@ -51,6 +54,90 @@ func TestJointCompressPairReducesStorage(t *testing.T) {
 	afterR, _ := s.TotalBytes("cam-right")
 	if after+afterR >= before+beforeR {
 		t.Errorf("total storage did not shrink: %d -> %d", before+beforeR, after+afterR)
+	}
+}
+
+// TestPredicateReadAfterPartialJoint pins predicate reads of a right-role
+// joint GOP. Planning it chases the partner video outside the lock set,
+// so the first planning attempt is abandoned and retried with both
+// videos locked; nothing from the abandoned attempt may leak into the
+// retry. Units it kept would wait on fetches no prefetch stage ever
+// starts (a hang) or, eagerly snapshotted, scan their GOP twice.
+func TestPredicateReadAfterPartialJoint(t *testing.T) {
+	const n = 16
+	pred, err := ParsePredicate("motion >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// withTimeout fails the test instead of hanging it.
+	withTimeout := func(t *testing.T, label string, fn func() ([]Match, error)) []Match {
+		t.Helper()
+		type result struct {
+			m   []Match
+			err error
+		}
+		ch := make(chan result, 1)
+		go func() {
+			m, err := fn()
+			ch <- result{m, err}
+		}()
+		select {
+		case r := <-ch:
+			if r.err != nil {
+				t.Fatalf("%s: %v", label, r.err)
+			}
+			return r.m
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: no result after 20s", label)
+			return nil
+		}
+	}
+	for _, disablePrefetch := range []bool{false, true} {
+		s := newStore(t, Options{GOPFrames: 8, DisablePrefetch: disablePrefetch})
+		writePair(t, s, pairCfg(0.5, 0, 23), n)
+		res, err := s.JointCompressPair(GOPRef{"cam-left", 0, 1}, GOPRef{"cam-right", 0, 1}, MergeUnprojected)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Compressed || res.Duplicate {
+			t.Fatalf("seq 1 pair not jointly compressed: %+v", res)
+		}
+		batch := withTimeout(t, "ReadWhere", func() ([]Match, error) {
+			out, err := s.ReadWhere("cam-right", pred, 0, 0)
+			if err != nil {
+				return nil, err
+			}
+			return out.Matches, nil
+		})
+		streamed := withTimeout(t, "ReadStreamWhere", func() ([]Match, error) {
+			st, err := s.ReadStreamWhere(context.Background(), "cam-right", pred, 0, 0)
+			if err != nil {
+				return nil, err
+			}
+			defer st.Close()
+			var all []Match
+			for {
+				b, err := st.Next()
+				if err == io.EOF {
+					return all, nil
+				}
+				if err != nil {
+					return nil, err
+				}
+				all = append(all, b.Matches...)
+			}
+		})
+		for label, got := range map[string][]Match{"ReadWhere": batch, "ReadStreamWhere": streamed} {
+			if len(got) != n {
+				t.Fatalf("prefetch off=%v: %s returned %d matches, want %d", disablePrefetch, label, len(got), n)
+			}
+			for i, m := range got {
+				if m.Index != i {
+					t.Fatalf("prefetch off=%v: %s match %d has index %d", disablePrefetch, label, i, m.Index)
+				}
+			}
+		}
+		matchesEqual(t, "stream vs batch", streamed, batch)
 	}
 }
 

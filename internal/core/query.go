@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/frame"
@@ -17,8 +15,9 @@ import (
 // This file implements predicate reads (ReadWhere / ReadStreamWhere):
 // the analytics read mode that answers "frames matching P over [t0,t1)"
 // from the temporal index and the per-GOP feature summaries, decoding
-// only candidate GOPs through the same prefetch → decode pipeline batch
-// and streaming reads use.
+// only candidate GOPs. A predicate read is not a separate executor: it
+// is the read executor of stream.go running a pruned plan whose units
+// each decode one candidate GOP and filter its frames in the interval.
 //
 // The plan is three steps, the first two free at query time:
 //
@@ -29,12 +28,13 @@ import (
 //     entirely — it is never fetched or decoded. Summaries are sound
 //     over-approximations (see summary.go), so skipping never loses a
 //     match; GOPs without a summary are decoded conservatively.
-//  3. Surviving GOPs flow through the standard phase-B machinery
-//     (prefetch window, CPU-pool decode, stale-fetch repair); the exact
-//     predicate is applied per frame and matches are returned as RGB
-//     frames — byte-identical to a full raw RGB read of the same video
-//     filtered client-side with AnalyzeFrames, which the parity suite
-//     pins.
+//  3. Each surviving GOP becomes one scan unit of the standard phase-B
+//     executor (prefetch window, CPU-pool decode, stale-fetch repair,
+//     ordered delivery); the exact predicate is applied per frame and
+//     matches are returned as RGB frames — byte-identical to a full raw
+//     RGB read of the same video filtered client-side with
+//     AnalyzeFrames, which the parity suite pins. ReadWhere drains the
+//     same stream ReadStreamWhere returns.
 //
 // Predicate reads always scan the original physical view: summaries are
 // computed from the original's reconstructed frames, and evaluating
@@ -90,26 +90,20 @@ type QueryBatch struct {
 	Matches []Match
 }
 
-// queryUnit is one candidate GOP of a predicate read.
-type queryUnit struct {
-	job    *decodeJob
-	start  int // phys frame index of the GOP's first frame
-	lo, hi int // local frame range [lo, hi) inside the interval
-
-	// Phase-B outputs.
-	matches []Match
-	scanned int
-	err     error
-	done    chan struct{} // streaming: closed when the unit is produced
-	snap    gopSnap       // batch: resolved in the prepare hook
+// gopScan is the work of one predicate-read unit: evaluate pred over
+// the local frames [lo, hi) of the unit's decoded GOP, whose first frame
+// is source frame start.
+type gopScan struct {
+	pred   Predicate
+	fps    int
+	start  int
+	lo, hi int
 }
 
 // queryJob carries one predicate read from phase A to phase B.
 type queryJob struct {
+	readJob
 	width, height, fps int
-	units              []*queryUnit
-	fetches            []*gopFetch
-	bytesRead          atomic.Int64
 	stats              QueryStats // planning-time counters
 }
 
@@ -140,86 +134,55 @@ func (s *Store) ReadWhere(video string, pred Predicate, t0, t1 float64) (*QueryR
 // ReadWhereContext is ReadWhere with cancellation (the same promptness
 // contract as ReadContext: workers stop between GOP-granular tasks).
 func (s *Store) ReadWhereContext(ctx context.Context, video string, pred Predicate, t0, t1 float64) (*QueryResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := context.Cause(ctx); err != nil {
-		return nil, err
-	}
-	out, err := s.readWhereOnce(ctx, video, pred, t0, t1, s.opts.DisablePrefetch)
-	if errors.Is(err, errDanglingRef) && !s.opts.DisablePrefetch {
-		// Same race as ReadContext: a planned GOP moved between phase A
-		// and its fetch; the eager under-lock snapshot is immune.
-		return s.readWhereOnce(ctx, video, pred, t0, t1, true)
-	}
-	return out, err
-}
-
-func (s *Store) readWhereOnce(ctx context.Context, video string, pred Predicate, t0, t1 float64, eager bool) (*QueryResult, error) {
-	job, err := s.prepareQuery(ctx, video, pred, t0, t1, eager)
+	ctx, err := liveCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
+	return retryEager(s, func(eager bool) (*QueryResult, error) {
+		return s.readWhereOnce(ctx, video, pred, t0, t1, eager)
+	})
+}
 
-	// Phase B: prefetch + decode + exact evaluation, no locks held.
-	dctx := ctx
-	if len(job.fetches) > 0 {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		s.startPrefetch(dctx, job.fetches)
-	}
-	units := job.units
-	if err := s.runJobsPrepared(dctx, len(units),
-		func(i int) error {
-			var err error
-			units[i].snap, err = units[i].job.resolve(dctx, s)
-			return err
-		},
-		func(i int) error {
-			u := units[i]
-			start := time.Now()
-			err := u.job.decodeResolved(dctx, u.snap, s)
-			obs.ObserveCodec(ctx, s.pipe, obs.StageDecode, string(u.job.codecID), time.Since(start))
-			if err != nil {
-				return err
-			}
-			u.scan(pred, job.fps)
-			return nil
-		},
-	); err != nil {
+// readWhereOnce runs one predicate read attempt by draining its stream.
+func (s *Store) readWhereOnce(ctx context.Context, video string, pred Predicate, t0, t1 float64, eager bool) (*QueryResult, error) {
+	st, err := s.openQuery(ctx, video, pred, t0, t1, eager)
+	if err != nil {
 		return nil, err
 	}
-
-	out := &QueryResult{Width: job.width, Height: job.height, FPS: job.fps, Stats: job.stats}
-	for _, u := range units {
-		out.Stats.GOPsDecoded += u.job.decoded
-		out.Stats.FramesScanned += u.scanned
-		out.Matches = append(out.Matches, u.matches...)
+	defer st.Close()
+	out := &QueryResult{Width: st.Width, Height: st.Height, FPS: st.FPS}
+	for {
+		b, err := st.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		out.Matches = append(out.Matches, b.Matches...)
 	}
-	out.Stats.FramesMatched = len(out.Matches)
-	// Eager snapshots record bytes in the planning stats; prefetched and
-	// re-snapshotted reads record them in the shared atomic. Sum both.
-	out.Stats.BytesRead += job.bytesRead.Load()
+	out.Stats = st.Stats()
 	return out, nil
 }
 
 // prepareQuery is phase A: under the video lock, restrict to GOPs
 // overlapping the interval via the temporal index, prune by summary
-// bounds, and snapshot the survivors' decode recipes.
+// bounds, and snapshot the survivors' decode recipes. The job is rebuilt
+// from scratch on every withVideos attempt: an attempt that chased a
+// joint partner outside the lock set registered fetches no prefetch
+// stage will ever start.
 func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, t0, t1 float64, eager bool) (*queryJob, error) {
 	if pred == nil {
 		return nil, fmt.Errorf("%w: nil predicate", ErrInvalidSpec)
 	}
-	job := &queryJob{}
+	var job *queryJob
 	planStart := time.Now()
 	err := s.withVideos([]string{video}, func(held map[string]*videoState) error {
+		job = &queryJob{}
 		vs := held[video]
 		v := vs.meta
 		orig := vs.original()
 		if orig == nil || len(orig.GOPs) == 0 {
-			job.units, job.fetches = nil, nil
-			job.stats = QueryStats{}
 			return nil // nothing written yet: empty result
 		}
 		end := t1
@@ -250,19 +213,14 @@ func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, 
 			return err
 		}
 
-		c := &snapCollector{ctx: ctx, stats: &ReadStats{}, eager: eager, bytes: &job.bytesRead}
+		var planStats ReadStats
+		c := &snapCollector{ctx: ctx, stats: &planStats, eager: eager, bytes: &job.bytesRead}
 		for _, sp := range idx.Covering(t0, end) {
 			g := findGOP(orig, sp.Seq)
 			if g == nil {
 				continue
 			}
-			lo, hi := i0-g.StartFrame, i1-g.StartFrame
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > g.Frames {
-				hi = g.Frames
-			}
+			lo, hi := max(i0-g.StartFrame, 0), min(i1-g.StartFrame, g.Frames)
 			if hi <= lo {
 				continue
 			}
@@ -284,12 +242,13 @@ func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, 
 				from:  0,
 				to:    -1,
 			}
-			job.units = append(job.units, &queryUnit{
-				job: dj, start: g.StartFrame, lo: lo, hi: hi,
+			job.units = append(job.units, &readUnit{
+				scan: &gopScan{pred: pred, fps: orig.FPS, start: g.StartFrame, lo: lo, hi: hi},
+				jobs: []*decodeJob{dj},
 				done: make(chan struct{}),
 			})
 		}
-		job.stats.BytesRead = c.stats.BytesRead
+		job.stats.BytesRead = planStats.BytesRead
 		job.fetches = c.fetches
 		return nil
 	})
@@ -300,31 +259,26 @@ func (s *Store) prepareQuery(ctx context.Context, video string, pred Predicate, 
 	return job, nil
 }
 
-// scan applies the exact predicate to the unit's decoded frames. The
+// scanGOP applies the exact predicate to the unit's decoded frames. The
 // analysis runs on the RGB conversions — the same frame.Convert the raw
 // read path applies — so matched frames are byte-identical to a full
 // raw RGB read filtered client-side.
-func (u *queryUnit) scan(pred Predicate, fps int) {
-	rgb, infos := analyzeRGB(u.job.frames)
-	hi := u.hi
-	if hi > len(infos) {
-		hi = len(infos)
-	}
-	for j := u.lo; j < hi; j++ {
+func (u *readUnit) scanGOP() {
+	sc := u.scan
+	rgb, infos := analyzeRGB(u.jobs[0].frames)
+	for j := sc.lo; j < min(sc.hi, len(infos)); j++ {
 		u.scanned++
-		if !pred.Match(infos[j]) {
+		if !sc.pred.Match(infos[j]) {
 			continue
 		}
-		idx := u.start + j
+		idx := sc.start + j
 		u.matches = append(u.matches, Match{
 			Index: idx,
-			Time:  float64(idx) / float64(fps),
+			Time:  float64(idx) / float64(sc.fps),
 			Frame: rgb[j],
 			Info:  infos[j],
 		})
 	}
-	// The matches retain only their own frames; drop the decoded GOP.
-	u.job.frames = nil
 }
 
 // QueryStream is an in-order streaming predicate read: Next returns the
@@ -335,16 +289,8 @@ type QueryStream struct {
 	// from (frames are RGB at source resolution).
 	Width, Height, FPS int
 
-	s      *Store
-	ctx    context.Context
-	cancel context.CancelCauseFunc
-	pred   Predicate
-	job    *queryJob
-	next   int
-	claim  atomic.Int64
-	ahead  chan struct{}
-	stats  QueryStats
-	err    error
+	x     *executor
+	stats QueryStats
 }
 
 // ReadStreamWhere opens a streaming predicate read over [t0, t1) (t1 <=
@@ -352,126 +298,54 @@ type QueryStream struct {
 // io.EOF or closed. Planning, pruning, and decode mechanics match
 // ReadWhere exactly; only delivery differs.
 func (s *Store) ReadStreamWhere(ctx context.Context, video string, pred Predicate, t0, t1 float64) (*QueryStream, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := context.Cause(ctx); err != nil {
-		return nil, err
-	}
-	job, err := s.prepareQuery(ctx, video, pred, t0, t1, s.opts.DisablePrefetch)
+	ctx, err := liveCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
-	sctx, cancel := context.WithCancelCause(ctx)
-	st := &QueryStream{
+	return s.openQuery(ctx, video, pred, t0, t1, s.opts.DisablePrefetch)
+}
+
+// openQuery runs phase A of a predicate read and starts its executor.
+func (s *Store) openQuery(ctx context.Context, video string, pred Predicate, t0, t1 float64, eager bool) (*QueryStream, error) {
+	job, err := s.prepareQuery(ctx, video, pred, t0, t1, eager)
+	if err != nil {
+		return nil, err
+	}
+	return &QueryStream{
 		Width: job.width, Height: job.height, FPS: job.fps,
-		s: s, ctx: sctx, cancel: cancel, pred: pred, job: job,
-		stats: job.stats,
-		ahead: make(chan struct{}, 2*s.opts.Workers),
-	}
-	s.startPrefetch(sctx, job.fetches)
-	workers := s.opts.Workers
-	if workers > len(job.units) {
-		workers = len(job.units)
-	}
-	for w := 0; w < workers; w++ {
-		go st.worker()
-	}
-	return st, nil
-}
-
-// worker claims units in order and produces them until the stream is
-// exhausted, cancelled, or a unit fails.
-func (st *QueryStream) worker() {
-	for {
-		i := int(st.claim.Add(1)) - 1
-		if i >= len(st.job.units) {
-			return
-		}
-		u := st.job.units[i]
-		u.err = st.produce(u)
-		close(u.done)
-		if u.err != nil {
-			st.cancel(u.err)
-			return
-		}
-	}
-}
-
-// produce decodes and scans one unit, bounded by the look-ahead window
-// so decode never runs unboundedly ahead of the consumer.
-func (st *QueryStream) produce(u *queryUnit) error {
-	select {
-	case st.ahead <- struct{}{}:
-	case <-st.ctx.Done():
-		return context.Cause(st.ctx)
-	}
-	snap, err := u.job.resolve(st.ctx, st.s)
-	if err != nil {
-		return err
-	}
-	select {
-	case st.s.workSem <- struct{}{}:
-	case <-st.ctx.Done():
-		return context.Cause(st.ctx)
-	}
-	start := time.Now()
-	err = u.job.decodeResolved(st.ctx, snap, st.s)
-	obs.ObserveCodec(st.ctx, st.s.pipe, obs.StageDecode, string(u.job.codecID), time.Since(start))
-	<-st.s.workSem
-	if err != nil {
-		return err
-	}
-	u.scan(st.pred, st.FPS)
-	return nil
+		x: s.execute(ctx, &job.readJob), stats: job.stats,
+	}, nil
 }
 
 // Next returns the next non-empty batch of matches in frame order, or
 // io.EOF once every candidate GOP has been scanned. After a non-nil
 // error the stream is dead and Next keeps returning that error.
 func (st *QueryStream) Next() (*QueryBatch, error) {
-	if st.err != nil {
-		return nil, st.err
-	}
-	for st.next < len(st.job.units) {
-		u := st.job.units[st.next]
-		select {
-		case <-u.done:
-		case <-st.ctx.Done():
-			return nil, st.finish(context.Cause(st.ctx))
+	for {
+		u, err := st.x.nextUnit()
+		if err != nil {
+			return nil, err
 		}
-		if u.err != nil {
-			return nil, st.finish(u.err)
+		if u == nil {
+			st.x.finish(io.EOF)
+			return nil, io.EOF
 		}
-		st.next++
-		select {
-		case <-st.ahead:
-		default:
-		}
-		st.stats.GOPsDecoded += u.job.decoded
+		st.stats.GOPsDecoded += u.jobs[0].decoded
 		st.stats.FramesScanned += u.scanned
 		st.stats.FramesMatched += len(u.matches)
 		if len(u.matches) > 0 {
-			return &QueryBatch{Matches: u.matches}, nil
+			m := u.matches
+			u.matches = nil
+			return &QueryBatch{Matches: m}, nil
 		}
 	}
-	return nil, st.finish(io.EOF)
-}
-
-// finish records the stream's terminal state and releases its workers.
-func (st *QueryStream) finish(err error) error {
-	if st.err == nil {
-		st.err = err
-		st.stats.BytesRead = st.job.stats.BytesRead + st.job.bytesRead.Load()
-		st.cancel(err)
-	}
-	return st.err
 }
 
 // Close cancels the stream. Safe to call at any point and more than
-// once; after Close, Next reports the cancellation.
+// once; after Close, Next reports the cancellation. Unlike
+// ReadStream.Close, call it from the goroutine consuming Next.
 func (st *QueryStream) Close() error {
-	st.finish(errors.New("core: query stream closed"))
+	st.x.finish(errStreamClosed)
 	return nil
 }
 
@@ -480,8 +354,7 @@ func (st *QueryStream) Close() error {
 // decode and match counters once Next has returned io.EOF. Call it from
 // the goroutine consuming Next.
 func (st *QueryStream) Stats() QueryStats {
-	if st.err == nil {
-		st.stats.BytesRead = st.job.stats.BytesRead + st.job.bytesRead.Load()
-	}
-	return st.stats
+	stats := st.stats
+	stats.BytesRead += st.x.job.bytesRead.Load()
+	return stats
 }

@@ -4,16 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/frame"
 	"repro/internal/lossless"
-	"repro/internal/obs"
 	"repro/internal/quality"
 )
 
@@ -22,17 +21,25 @@ import (
 // a single read — run in parallel:
 //
 //	Phase A (video lock held): resolve the request, pick the minimal-cost
-//	  plan, and snapshot the decode RECIPE of every stored GOP the plan
+//	  plan, snapshot the decode RECIPE of every stored GOP the plan
 //	  touches (chasing duplicate/joint references through the held lock
-//	  set), registering one fetch descriptor per stored GOP to read.
-//	Phase B (no locks): an asynchronous IO-prefetch stage reads GOP bytes
-//	  from the storage backend ahead of the decode workers (bounded
-//	  look-ahead, 2*Workers), overlapping backend IO with decode; the
-//	  workers decode, crop/resize/convert, and re-encode on the store's
-//	  bounded worker pool, fanning out per GOP and per output chunk and
-//	  joining in frame order.
+//	  set), registering one fetch descriptor per stored GOP to read, and
+//	  cut the output into ordered units — stored bitstreams emitted as-is
+//	  and GOPFrames-sized runs of frames to transcode.
+//	Phase B (no locks): the executor in stream.go — the only one; batch
+//	  reads, streams, and predicate reads all run through it. An
+//	  asynchronous IO-prefetch stage reads GOP bytes from the storage
+//	  backend ahead of the decode workers (bounded look-ahead, 2*Workers),
+//	  overlapping backend IO with decode; the workers produce units in
+//	  order on the store's bounded worker pool, decoding each GOP once and
+//	  converting and re-encoding per unit.
 //	Phase C (video lock re-acquired): cache admission, eviction, and
-//	  deferred-compression pressure against the video's current state.
+//	  deferred-compression pressure against the video's current state
+//	  (ReadStream.admit).
+//
+// Read and ReadContext are the batch form: they drain a ReadStream and
+// return the concatenation of its units, so batch and streaming output
+// are byte-identical by construction.
 //
 // Deferring the byte reads out of phase A is what lets disk (or shard)
 // IO overlap with compute — the pre-prefetch design read every byte
@@ -142,11 +149,9 @@ type gopSnap struct {
 }
 
 // decodeJob is one GOP decode executed on the worker pool. from/to bound
-// the returned frames ([from, to); to = -1 means to the end). The batch
-// path (executeJob) runs every job eagerly via runJobsPrepared (resolve
-// in the prepare hook, decode under the CPU slot); the streaming path
-// (ReadStream) decodes lazily through once, on the first unit that needs
-// the GOP, and drops frames once refs units have consumed them.
+// the returned frames ([from, to); to = -1 means to the end). The executor
+// decodes lazily through once, on the first unit that needs the GOP, and
+// drops the frames once refs units have consumed them.
 type decodeJob struct {
 	snap     gopSnap
 	key      jobKey        // identity for the stale-fetch re-snapshot fallback
@@ -156,9 +161,9 @@ type decodeJob struct {
 	decoded  int      // GOP streams decoded, for ReadStats
 	codecID  codec.ID // codec the bytes decoded through, for per-codec metrics
 
-	once   sync.Once    // streaming: lazy decode guard
-	runErr error        // streaming: result of the once'd run
-	refs   atomic.Int32 // streaming: units still needing frames
+	once   sync.Once    // lazy decode guard
+	runErr error        // result of the once'd run
+	refs   atomic.Int32 // units still needing frames
 }
 
 func (j *decodeJob) decode(snap gopSnap) error {
@@ -243,37 +248,17 @@ type frameSrc struct {
 	p   physSnap
 }
 
-// readSeg is one ordered segment of the output: either a stored bitstream
-// emitted as-is (mixed execution's no-decode path) or a run of frames to
-// transcode.
-type readSeg struct {
-	pass       []byte // non-nil: passthrough stored GOP (compressed output)
-	passFrames int
-	srcs       []frameSrc
-}
-
 // readJob is the fully snapshotted execution state of one read, handed
-// from phase A to phase B.
+// from phase A to the phase-B executor.
 type readJob struct {
-	r         resolvedSpec
-	gopFrames int
-	jobs      []*decodeJob
-	segs      []readSeg
+	r         resolvedSpec // output configuration of transcode units
+	units     []*readUnit  // ordered output units
 	fetches   []*gopFetch  // backend reads for the prefetch stage, plan order
 	bytesRead atomic.Int64 // stored bytes fetched by phase B
-
-	// Phase B outputs.
-	outFrames []*frame.Frame // raw path: RGB frames at ROI resolution
-	outConv   []*frame.Frame // raw path: frames in the requested layout
-	outGOPs   [][]byte       // compressed path
-	sampleRef []*frame.Frame // compressed path: source frames of sampleGOP
-	sampleGOP []byte         // compressed path: one re-encoded GOP for PSNR sampling
-	mbpp      float64
-	decoded   int // GOPs decoded
 }
 
-// readBuilder accumulates the readJob during phase A, deduplicating
-// decode work per stored GOP.
+// readBuilder accumulates the readJob's units during phase A,
+// deduplicating decode work per stored GOP.
 type readBuilder struct {
 	s       *Store
 	held    map[string]*videoState
@@ -282,8 +267,8 @@ type readBuilder struct {
 	stats   *ReadStats
 	c       *snapCollector
 	jobs    map[jobKey]*decodeJob
-	order   []*decodeJob
-	segs    []readSeg
+	units   []*readUnit
+	pending []frameSrc // transcoded frames not yet cut into units; they carry across plan runs
 	touched map[int]*PhysMeta
 }
 
@@ -336,90 +321,59 @@ func (s *Store) Read(video string, spec ReadSpec) (*ReadResult, error) {
 // after the compute phase does not interrupt cache admission, which is
 // metadata-only and must not be torn.
 func (s *Store) ReadContext(ctx context.Context, video string, spec ReadSpec) (*ReadResult, error) {
+	ctx, err := liveCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return retryEager(s, func(eager bool) (*ReadResult, error) {
+		return s.readOnce(ctx, video, spec, eager)
+	})
+}
+
+// liveCtx defaults a nil context and refuses an already-cancelled one
+// before any read work starts.
+func liveCtx(ctx context.Context) (context.Context, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := context.Cause(ctx); err != nil {
-		return nil, err
-	}
-	out, err := s.readOnce(ctx, video, spec, s.opts.DisablePrefetch)
+	return ctx, context.Cause(ctx)
+}
+
+// retryEager runs one read attempt with the configured snapshot policy.
+// When the prefetch stage lost a race the eager design could not lose —
+// a planned GOP was evicted (not merely rewritten) between phase A and
+// its fetch — the video itself is intact, and a fresh plan reads it from
+// the surviving views: retry once with the pre-prefetch eager snapshot,
+// which reads every byte under the lock and is immune by construction.
+func retryEager[T any](s *Store, attempt func(eager bool) (T, error)) (T, error) {
+	out, err := attempt(s.opts.DisablePrefetch)
 	if errors.Is(err, errDanglingRef) && !s.opts.DisablePrefetch {
-		// The prefetch stage lost a race the eager design could not lose:
-		// a planned GOP was evicted (and is not merely rewritten) between
-		// phase A and its fetch. The video itself is intact — a fresh
-		// plan reads it from the surviving views — so retry once with the
-		// pre-prefetch eager snapshot, which reads every byte under the
-		// lock and is immune by construction.
-		return s.readOnce(ctx, video, spec, true)
+		return attempt(true)
 	}
 	return out, err
 }
 
-// readOnce runs one full read attempt (phases A, B, C). eager selects
-// the under-lock byte snapshot instead of the prefetch stage.
+// readOnce runs one full read attempt (phases A, B, C) by draining a
+// batch-policy ReadStream. eager selects the under-lock byte snapshot
+// instead of the prefetch stage.
 func (s *Store) readOnce(ctx context.Context, video string, spec ReadSpec, eager bool) (*ReadResult, error) {
-	var (
-		out       *ReadResult
-		job       *readJob
-		fragIDs   []int
-		parentMSE float64
-		vsA       *videoState // generation witness for phase C
-	)
-	// Phase A under the video lock (expanding to partner videos when the
-	// plan touches duplicate/joint GOPs).
-	planStart := time.Now()
-	err := s.withVideos([]string{video}, func(held map[string]*videoState) error {
-		var err error
-		vsA = held[video]
-		out, job, fragIDs, parentMSE, err = s.prepareRead(ctx, held, held[video], spec, eager)
-		return err
-	})
-	obs.Observe(ctx, s.pipe, obs.StagePlan, time.Since(planStart))
+	st, err := s.openRead(ctx, video, spec, eager, true)
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase B: IO prefetch + CPU-heavy decode/convert/encode, no locks
-	// held.
-	if err := s.executeJob(ctx, job); err != nil {
-		return nil, err
-	}
-	out.Stats.GOPsDecoded += job.decoded
-	out.Stats.BytesRead += job.bytesRead.Load()
-	r := job.r
-	if r.codec.Compressed() {
-		out.GOPs = job.outGOPs
-	} else {
-		out.Frames = job.outConv
-	}
-
-	// Phase C: admission and maintenance against the video's current
-	// state. The video may have been deleted — or deleted and recreated
-	// under the same name — while we computed; in either case the data we
-	// read is not this video's anymore, so skip admission but still
-	// return it.
-	vs := s.acquire(video)
-	if vs == nil {
-		return out, nil
-	}
-	defer vs.mu.Unlock()
-	if vs != vsA {
-		return out, nil
-	}
-	admitStart := time.Now()
-	admitted, err := s.admitLocked(vs, job, fragIDs, parentMSE)
-	obs.Observe(ctx, s.pipe, obs.StageCacheAdmit, time.Since(admitStart))
-	if err != nil {
-		return nil, err
-	}
-	out.Stats.Admitted = admitted
-	if !r.codec.Compressed() {
-		// Uncompressed reads drive deferred compression (Section 5.2).
-		if err := s.deferredPressureLocked(vs); err != nil {
+	defer st.Close()
+	for {
+		if _, err := st.Next(); err == io.EOF {
+			break
+		} else if err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return &ReadResult{
+		Frames: st.out.frames, GOPs: st.out.gops,
+		Width: st.Width, Height: st.Height, FPS: st.FPS,
+		Stats: st.Stats(),
+	}, nil
 }
 
 // withVideos runs fn with the named videos locked (sorted order),
@@ -461,15 +415,16 @@ func (s *Store) withVideos(primary []string, fn func(held map[string]*videoState
 }
 
 // prepareRead is phase A: plan the read and snapshot everything phase B
-// needs (byte reads included when eager, fetch descriptors otherwise).
-// Caller holds the locks in held, which must include vs. ctx reaches
-// eager backend reads only — phase A itself is not cancellable
-// mid-plan (its metadata writes must not be torn).
-func (s *Store) prepareRead(ctx context.Context, held map[string]*videoState, vs *videoState, spec ReadSpec, eager bool) (*ReadResult, *readJob, []int, float64, error) {
+// needs (byte reads included when eager, fetch descriptors otherwise)
+// into an unstarted stream and its job. Caller holds the locks in held,
+// which must include vs. ctx reaches eager backend reads only — phase A
+// itself is not cancellable mid-plan (its metadata writes must not be
+// torn).
+func (s *Store) prepareRead(ctx context.Context, held map[string]*videoState, vs *videoState, spec ReadSpec, eager bool) (*ReadStream, *readJob, error) {
 	v := vs.meta
 	r, err := s.resolve(v, spec)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, err
 	}
 	// One LRU tick per read operation: every page the read touches shares
 	// the same sequence number, so the position and redundancy offsets of
@@ -477,25 +432,23 @@ func (s *Store) prepareRead(ctx context.Context, held map[string]*videoState, vs
 	s.tick(v)
 	plan, err := s.plan(vs, r)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, err
 	}
 
-	out := &ReadResult{Width: r.roiW, Height: r.roiH, FPS: r.outFPS}
-	out.Stats.PlanCost = plan.Cost
-	out.Stats.PlanRuns = plan.Runs
-	out.Stats.PlanMethod = plan.Method
-
-	var parentMSE float64
-	for _, st := range plan.steps {
-		if m := useMSE(st.phys, r); m > parentMSE {
-			parentMSE = m
+	st := &ReadStream{Width: r.roiW, Height: r.roiH, FPS: r.outFPS, vsA: vs, fragIDs: plan.Fragments()}
+	st.stats.PlanCost = plan.Cost
+	st.stats.PlanRuns = plan.Runs
+	st.stats.PlanMethod = plan.Method
+	for _, step := range plan.steps {
+		if m := useMSE(step.phys, r); m > st.parentMSE {
+			st.parentMSE = m
 		}
 	}
 
-	job := &readJob{r: r, gopFrames: s.opts.GOPFrames}
+	job := &readJob{r: r}
 	b := &readBuilder{
-		s: s, held: held, vs: vs, r: r, stats: &out.Stats,
-		c:       &snapCollector{ctx: ctx, stats: &out.Stats, eager: eager, bytes: &job.bytesRead},
+		s: s, held: held, vs: vs, r: r, stats: &st.stats,
+		c:       &snapCollector{ctx: ctx, stats: &st.stats, eager: eager, bytes: &job.bytesRead},
 		jobs:    make(map[jobKey]*decodeJob),
 		touched: make(map[int]*PhysMeta),
 	}
@@ -505,19 +458,20 @@ func (s *Store) prepareRead(ctx context.Context, held map[string]*videoState, vs
 		err = b.buildRaw(plan)
 	}
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, err
 	}
+	b.flush()
 	// Persist the LRU touches made while building the snapshot.
 	for _, p := range b.touched {
 		if err := s.savePhys(v.Name, p); err != nil {
-			return nil, nil, nil, 0, err
+			return nil, nil, err
 		}
 	}
 	if err := s.saveVideo(v); err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, err
 	}
-	job.jobs, job.segs, job.fetches = b.order, b.segs, b.c.fetches
-	return out, job, plan.Fragments(), parentMSE, nil
+	job.units, job.fetches = b.units, b.c.fetches
+	return st, job, nil
 }
 
 // jobFor returns the (deduplicated) decode job for frames [from, to) of a
@@ -533,21 +487,24 @@ func (b *readBuilder) jobFor(vs *videoState, p *PhysMeta, g *GOPMeta, from, to i
 	}
 	j := &decodeJob{snap: snap, key: key, bytes: b.c.bytes, from: from, to: to}
 	b.jobs[key] = j
-	b.order = append(b.order, j)
 	return j, nil
 }
 
-// appendSrcs merges transcoded frames into the trailing transcode
-// segment, mirroring the original pending-frame accumulation across runs.
-func (b *readBuilder) appendSrcs(srcs []frameSrc) {
-	if len(srcs) == 0 {
-		return
+// appendPass emits a stored bitstream as its own unit, after cutting the
+// frames queued before it.
+func (b *readBuilder) appendPass(data []byte, frames int) {
+	b.flush()
+	b.units = append(b.units, &readUnit{pass: data, frames: frames, done: make(chan struct{})})
+}
+
+// flush cuts the pending frames into GOPFrames-sized transcode units —
+// one output GOP (or raw frame batch) each.
+func (b *readBuilder) flush() {
+	n := b.s.opts.GOPFrames
+	for i := 0; i < len(b.pending); i += n {
+		b.units = append(b.units, newTranscodeUnit(b.pending[i:min(i+n, len(b.pending))]))
 	}
-	if n := len(b.segs); n > 0 && b.segs[n-1].pass == nil {
-		b.segs[n-1].srcs = append(b.segs[n-1].srcs, srcs...)
-		return
-	}
-	b.segs = append(b.segs, readSeg{srcs: srcs})
+	b.pending = nil
 }
 
 // buildCompressed plans mixed execution for compressed output: runs of
@@ -581,7 +538,7 @@ func (b *readBuilder) buildCompressed(plan *Plan) error {
 			if err != nil {
 				return err
 			}
-			b.appendSrcs(srcs)
+			b.pending = append(b.pending, srcs...)
 			continue
 		}
 		fps := float64(p.FPS)
@@ -599,7 +556,7 @@ func (b *readBuilder) buildCompressed(plan *Plan) error {
 					return err
 				}
 				b.stats.BytesRead += int64(len(data))
-				b.segs = append(b.segs, readSeg{pass: data, passFrames: g.Frames})
+				b.appendPass(data, g.Frames)
 				g.LRU = v.Clock
 				continue
 			}
@@ -624,7 +581,7 @@ func (b *readBuilder) buildCompressed(plan *Plan) error {
 			for k := 0; k < to-from; k++ {
 				srcs = append(srcs, frameSrc{job: job, idx: k, p: snapPhys(p)})
 			}
-			b.appendSrcs(srcs)
+			b.pending = append(b.pending, srcs...)
 		}
 	}
 	return nil
@@ -644,7 +601,7 @@ func (b *readBuilder) buildRaw(plan *Plan) error {
 		if err != nil {
 			return err
 		}
-		b.appendSrcs(srcs)
+		b.pending = append(b.pending, srcs...)
 		i = j + 1
 	}
 	return nil
@@ -776,11 +733,15 @@ func (s *Store) resnapshotGOP(ctx context.Context, key jobKey, bytes *atomic.Int
 // startPrefetch launches the asynchronous IO stage of phase B: fetchers
 // issue backend reads in plan order, running at most 2*Workers fetched-
 // but-unconsumed GOPs ahead of the decode workers — the same look-ahead
-// discipline that bounds streaming reads. Fetchers need no CPU-pool
+// discipline that bounds the executor's units. Fetchers need no CPU-pool
 // slot (they only block on IO), so backend reads overlap decode work
-// slot-for-slot. They exit when every fetch is issued or ctx is
-// cancelled; waiters observe cancellation through their own ctx select,
-// so no fetch is ever waited on forever.
+// slot-for-slot. A fetcher takes its look-ahead token BEFORE claiming
+// the next fetch, so tokens go out in plan order: every issued fetch
+// precedes every unissued one, and the window can never fill with fetches
+// the executor will only consume after one still waiting for a token.
+// Fetchers exit when every fetch is issued or ctx is cancelled; waiters
+// observe cancellation through their own ctx select, so no fetch is ever
+// waited on forever.
 func (s *Store) startPrefetch(ctx context.Context, fetches []*gopFetch) {
 	if len(fetches) == 0 {
 		return
@@ -797,18 +758,16 @@ func (s *Store) startPrefetch(ctx context.Context, fetches []*gopFetch) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for {
+				select {
+				case window <- struct{}{}:
+				case <-ctx.Done():
+					return
+				}
 				i := int(next.Add(1)) - 1
 				if i >= len(fetches) {
 					return
 				}
 				f := fetches[i]
-				select {
-				case window <- struct{}{}:
-				case <-ctx.Done():
-					f.err = context.Cause(ctx)
-					close(f.ready)
-					return
-				}
 				f.data, f.err = s.readGOP(ctx, f.video, f.dir, f.seq, f.want)
 				if f.err == nil && f.bytes != nil {
 					f.bytes.Add(int64(len(f.data)))
@@ -856,178 +815,6 @@ func decodeSnap(snap gopSnap, from, to int) ([]*frame.Frame, int, codec.ID, erro
 		return nil, 0, hd.Codec, err
 	}
 	return frames, 1, hd.Codec, nil
-}
-
-// executeJob is phase B: run every decode job on the worker pool, convert
-// each output frame into the requested space, and (for compressed output)
-// re-encode — all outside any lock, joined in frame order. Cancelling ctx
-// stops workers between tasks; see runJobs for the first-error-wins
-// contract.
-func (s *Store) executeJob(ctx context.Context, job *readJob) error {
-	// 0. Launch the IO-prefetch stage ahead of the decode workers; the
-	// deferred cancel tears the fetchers down if decode fails early.
-	dctx := ctx
-	if len(job.fetches) > 0 {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		s.startPrefetch(dctx, job.fetches)
-	}
-
-	// 1. Decode every needed GOP in parallel. The fetch wait runs in the
-	// prepare hook — outside the task's CPU slot — so a decode stalled on
-	// backend IO never occupies the pool (the same discipline the
-	// streaming path applies before acquireSlot).
-	snaps := make([]gopSnap, len(job.jobs))
-	if err := s.runJobsPrepared(dctx, len(job.jobs),
-		func(i int) error {
-			var err error
-			snaps[i], err = job.jobs[i].resolve(dctx, s)
-			return err
-		},
-		func(i int) error {
-			start := time.Now()
-			err := job.jobs[i].decodeResolved(dctx, snaps[i], s)
-			obs.ObserveCodec(ctx, s.pipe, obs.StageDecode, string(job.jobs[i].codecID), time.Since(start))
-			return err
-		},
-	); err != nil {
-		return err
-	}
-	for _, j := range job.jobs {
-		job.decoded += j.decoded
-	}
-
-	// 2. Convert every transcoded frame in parallel.
-	type convTask struct{ seg, i int }
-	var tasks []convTask
-	for si := range job.segs {
-		for i := range job.segs[si].srcs {
-			tasks = append(tasks, convTask{si, i})
-		}
-	}
-	converted := make([][]*frame.Frame, len(job.segs))
-	for si := range job.segs {
-		converted[si] = make([]*frame.Frame, len(job.segs[si].srcs))
-	}
-	if err := s.runJobs(ctx, len(tasks), func(ti int) error {
-		t := tasks[ti]
-		src := job.segs[t.seg].srcs[t.i]
-		if len(src.job.frames) == 0 {
-			return fmt.Errorf("core: decoded GOP is empty")
-		}
-		idx := src.idx
-		if idx >= len(src.job.frames) {
-			idx = len(src.job.frames) - 1
-		}
-		f, err := convertFrame(src.job.frames[idx], src.p, job.r)
-		if err != nil {
-			return err
-		}
-		converted[t.seg][t.i] = f
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	if !job.r.codec.Compressed() {
-		return s.assembleRaw(ctx, job, converted)
-	}
-	return s.assembleCompressed(ctx, job, converted)
-}
-
-// assembleRaw joins converted frames in order and produces the output in
-// the requested pixel layout (conversion parallelized per frame).
-func (s *Store) assembleRaw(ctx context.Context, job *readJob, converted [][]*frame.Frame) error {
-	var frames []*frame.Frame
-	for si := range converted {
-		frames = append(frames, converted[si]...)
-	}
-	job.outFrames = frames
-	outFmt := frame.PixelFormat(job.r.pixfmt)
-	conv := make([]*frame.Frame, len(frames))
-	if err := s.runJobs(ctx, len(frames), func(i int) error {
-		if frames[i].Format == outFmt {
-			conv[i] = frames[i]
-		} else {
-			conv[i] = frames[i].Convert(outFmt)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	job.outConv = conv
-	return nil
-}
-
-// assembleCompressed interleaves passthrough bitstreams with re-encoded
-// frame runs, encoding output GOPs in parallel and preserving order.
-func (s *Store) assembleCompressed(ctx context.Context, job *readJob, converted [][]*frame.Frame) error {
-	r := job.r
-	type encodeChunk struct {
-		frames []*frame.Frame
-		outPos int
-	}
-	var (
-		chunks  []encodeChunk
-		outGOPs [][]byte
-		pending []*frame.Frame
-	)
-	var totalBytes, totalPixels int64
-	flush := func() {
-		for i := 0; i < len(pending); i += job.gopFrames {
-			j := i + job.gopFrames
-			if j > len(pending) {
-				j = len(pending)
-			}
-			chunks = append(chunks, encodeChunk{frames: pending[i:j], outPos: len(outGOPs)})
-			outGOPs = append(outGOPs, nil)
-		}
-		pending = nil
-	}
-	for si := range job.segs {
-		seg := &job.segs[si]
-		if seg.pass != nil {
-			flush()
-			outGOPs = append(outGOPs, seg.pass)
-			totalBytes += int64(len(seg.pass))
-			totalPixels += int64(r.roiW * r.roiH * seg.passFrames)
-			continue
-		}
-		pending = append(pending, converted[si]...)
-	}
-	flush()
-
-	sizes := make([]int64, len(chunks))
-	if err := s.runJobs(ctx, len(chunks), func(i int) error {
-		start := time.Now()
-		data, _, err := codec.EncodeGOP(chunks[i].frames, r.codec, r.quality)
-		obs.ObserveCodec(ctx, s.pipe, obs.StageEncode, string(r.codec), time.Since(start))
-		if err != nil {
-			return err
-		}
-		outGOPs[chunks[i].outPos] = data
-		sizes[i] = int64(len(data))
-		return nil
-	}); err != nil {
-		return err
-	}
-	for i, c := range chunks {
-		totalBytes += sizes[i]
-		totalPixels += int64(r.roiW * r.roiH * len(c.frames))
-	}
-	job.outGOPs = outGOPs
-	if len(chunks) > 0 {
-		// Keep one (source frames, encoded GOP) pair so admission can
-		// periodically measure exact PSNR and refine the MBPP->PSNR
-		// estimator (Section 3.2). Passthrough GOPs have no reference.
-		job.sampleRef = chunks[0].frames
-		job.sampleGOP = outGOPs[chunks[0].outPos]
-	}
-	if totalPixels > 0 {
-		job.mbpp = float64(totalBytes) * 8 / float64(totalPixels)
-	}
-	return nil
 }
 
 // gopContaining finds the GOP holding a local frame index.

@@ -753,29 +753,22 @@ func resolveRefIn(held map[string]*videoState, ref GOPRef) (*videoState, *PhysMe
 	return nil, nil, nil, fmt.Errorf("%w: seq %d of %s/%d", errDanglingRef, ref.Seq, ref.Video, ref.Phys)
 }
 
-// runJobs executes n tasks on the store's bounded worker pool and returns
-// the accumulated errors. It must be called WITHOUT any video lock held:
+// runJobs executes n independent tasks (the joint-candidate sweep's
+// first-frame decodes) on the store's bounded worker pool and returns the
+// accumulated errors. Reads do not use it: their phase B is the ordered
+// executor in stream.go. It must be called WITHOUT any video lock held:
 // tasks are CPU-bound and may outnumber pool slots. At most
 // min(n, Workers) goroutines are spawned, pulling task indices from a
 // shared counter; the semaphore is re-acquired per task so concurrent
-// reads interleave fairly on the pool rather than running to completion
-// one at a time.
+// callers interleave fairly on the pool rather than running to
+// completion one at a time.
 //
 // Cancellation is first-error-wins: each worker checks ctx before
-// claiming its next task, so a cancelled read stops consuming CPU at the
-// next task boundary (an in-flight GOP decode finishes, then the worker
+// claiming its next task, so a cancelled caller stops consuming CPU at
+// the next task boundary (an in-flight task finishes, then the worker
 // exits). The context's cause is folded into the returned error alongside
 // any task errors that already occurred.
 func (s *Store) runJobs(ctx context.Context, n int, run func(i int) error) error {
-	return s.runJobsPrepared(ctx, n, nil, run)
-}
-
-// runJobsPrepared is runJobs with an optional prepare hook that executes
-// BEFORE the task's semaphore slot is acquired. Work that blocks on IO —
-// waiting out a prefetched GOP fetch — belongs in prepare, so a task
-// stalled on the backend never occupies a CPU slot another read could
-// use. A prepare error records as the task's error and skips run.
-func (s *Store) runJobsPrepared(ctx context.Context, n int, prepare, run func(i int) error) error {
 	if n == 0 {
 		return nil
 	}
@@ -787,8 +780,8 @@ func (s *Store) runJobsPrepared(ctx context.Context, n int, prepare, run func(i 
 	var next atomic.Int64
 	var bailed atomic.Bool // some worker abandoned tasks due to cancellation
 	var wg sync.WaitGroup
-	// A non-cancellable context (Done() == nil: Read's default) skips the
-	// per-task cancellation branch entirely, keeping the batch path free.
+	// A non-cancellable context (Done() == nil) skips the per-task
+	// cancellation branch entirely.
 	done := ctx.Done()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -806,11 +799,6 @@ func (s *Store) runJobsPrepared(ctx context.Context, n int, prepare, run func(i 
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
-				}
-				if prepare != nil {
-					if errs[i] = prepare(i); errs[i] != nil {
-						continue
-					}
 				}
 				// The semaphore wait can be long on a loaded pool; bail out
 				// of it (and don't run the task) once cancelled, so a dead

@@ -87,7 +87,8 @@ func (f PixelFormat) Size(w, h int) int {
 }
 
 // Validate reports whether a frame of dimensions w x h is representable in
-// this format (chroma subsampling constrains parity).
+// this format (chroma subsampling constrains parity; unknown formats
+// represent nothing).
 func (f PixelFormat) Validate(w, h int) error {
 	if w <= 0 || h <= 0 {
 		return fmt.Errorf("frame: invalid dimensions %dx%d", w, h)
@@ -101,6 +102,9 @@ func (f PixelFormat) Validate(w, h int) error {
 		if w%2 != 0 {
 			return fmt.Errorf("frame: yuv422 requires even width, got %d", w)
 		}
+	case RGB, Gray:
+	default:
+		return fmt.Errorf("frame: unknown pixel format %d", f)
 	}
 	return nil
 }

@@ -49,6 +49,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/frame"
@@ -604,13 +605,9 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if err := cw.finish(); err != nil { // clean-EOF terminator
-		s.m.readsCancelled.Add(1)
-		ro.status = statusClientGone
-		s.noteReadStats(st)
-		return
-	}
-	s.m.readsCompleted.Add(1)
+	// Book the read before the terminator reaches the client: a client
+	// that has seen a complete response must find it in /metrics and in
+	// the response cache.
 	s.noteReadStats(st)
 	if cacheable {
 		s.cache.put(&cacheEntry{
@@ -618,6 +615,19 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 			width: st.Width, height: st.Height, fps: st.FPS,
 			codec: string(spec.P.Codec),
 		}, cacheGen)
+	}
+	s.finishRead(cw, ro, &s.m.readsCompleted)
+}
+
+// finishRead writes a response's clean-EOF terminator, counting the
+// request in completed first (see handleRead) and moving it to cancelled
+// when the terminator cannot be written.
+func (s *Server) finishRead(cw *chunkWriter, ro *readObs, completed *atomic.Int64) {
+	completed.Add(1)
+	if err := cw.finish(); err != nil {
+		completed.Add(-1)
+		s.m.readsCancelled.Add(1)
+		ro.status = statusClientGone
 	}
 }
 
@@ -764,14 +774,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, arrived tim
 			}
 		}
 	}
-	if err := cw.finish(); err != nil { // clean-EOF terminator
-		s.m.readsCancelled.Add(1)
-		ro.status = statusClientGone
-		s.noteQueryStats(st)
-		return
-	}
-	s.m.queriesCompleted.Add(1)
 	s.noteQueryStats(st)
+	s.finishRead(cw, ro, &s.m.queriesCompleted)
 }
 
 // noteQueryStats folds one predicate read's QueryStats into the server
@@ -821,12 +825,7 @@ func (s *Server) replayCached(w http.ResponseWriter, e *cacheEntry, arrived time
 			return
 		}
 	}
-	if err := cw.finish(); err != nil {
-		s.m.readsCancelled.Add(1)
-		ro.status = statusClientGone
-		return
-	}
-	s.m.readsCompleted.Add(1)
+	s.finishRead(cw, ro, &s.m.readsCompleted)
 }
 
 // noteReadStats folds a finished (or abandoned) stream's ReadStats into
