@@ -21,15 +21,15 @@
 // distinct roots: reads fail over when a root degrades, and the
 // -maintain loop's scrub pass re-copies missing replicas, so the store
 // survives losing a disk (run with -maintain when using -replicas; the
-// "replication" section of /metrics reports failovers, per-shard health,
-// and scrub results). Raising -replicas on an existing store is safe;
-// changing -shards or root order is not. -backend mem serves GOP data from
-// memory, for benchmarking only: the metadata catalog under
-// <store>/catalog is ALWAYS on disk, so after a restart it describes
-// videos whose in-memory bytes are gone (reads fail, recreating errors
-// with already-exists) — point -backend mem at a fresh or throwaway
-// store directory. A store must be reopened with the same backend
-// configuration it was written with.
+// "cluster" section of /metrics reports failovers, per-root health, the
+// write-repair journal, and scrub results). Raising -replicas on an
+// existing store is safe; changing -shards or root order is not.
+// -backend mem serves GOP data from memory, for benchmarking only: the
+// metadata catalog under <store>/catalog is ALWAYS on disk, so after a
+// restart it describes videos whose in-memory bytes are gone (reads
+// fail, recreating errors with already-exists) — point -backend mem at
+// a fresh or throwaway store directory. A store must be reopened with
+// the same backend configuration it was written with.
 //
 // Shut down with SIGINT/SIGTERM; in-flight requests get a grace period to
 // drain before the store is closed.

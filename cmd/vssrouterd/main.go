@@ -159,7 +159,7 @@ func main() {
 // startRepair drains the write-repair journal on an interval. Repair
 // errors are expected while a node is down (entries re-queue) and
 // surface through the /metrics cluster section, not the log.
-func startRepair(cluster *router.Cluster, interval time.Duration) (stop func()) {
+func startRepair(cluster *storage.Ring, interval time.Duration) (stop func()) {
 	done := make(chan struct{})
 	go func() {
 		t := time.NewTicker(interval)

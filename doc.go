@@ -94,20 +94,21 @@
 //     order-stable disk paths. With -replicas R every GOP lives on R
 //     distinct roots (primary + ring successors): writes fan out with
 //     first-success durability, reads fail over past degraded roots
-//     (repeat offenders demote to last resort), and the maintenance
-//     pass scrubs placements, re-copying missing or stale replicas from
-//     a healthy copy with the catalog as the size oracle — so losing a
-//     disk is a slowdown, not an outage, and replication converges back
-//     to R on its own.
+//     (repeat offenders demote to last resort), a write-repair journal
+//     records the copies the store watched go missing, and the
+//     maintenance pass drains it and scrubs placements, re-copying
+//     missing or stale replicas from a healthy copy with the catalog as
+//     the size oracle — so losing a disk is a slowdown, not an outage,
+//     and replication converges back to R on its own. The sharded
+//     backend is storage.Ring over localfs roots.
 //   - mem: in-memory, for tests and IO-free benchmarks; CI re-runs the
 //     core suite against it (VSS_BACKEND=mem) to enforce backend parity.
 //   - remote: one vssd node reached over the wire protocol's GOP
 //     storage plane (docs/WIRE.md), with retry-and-backoff on transport
-//     errors and 5xx — never on 4xx. internal/router composes N remotes
-//     into a cluster backend (hash-ring placement, replica fan-out,
-//     read failover, a write-repair journal, and the same scrub engine
-//     as sharded), which cmd/vssrouterd serves as a stateless scale-out
-//     front end; see docs/CLUSTER.md.
+//     errors and 5xx — never on 4xx. internal/router dials N remotes
+//     into the same storage.Ring the sharded backend runs over roots
+//     (the cluster backend), which cmd/vssrouterd serves as a stateless
+//     scale-out front end; see docs/CLUSTER.md.
 //
 // The metadata catalog always stays on the local filesystem under
 // <store>/catalog. On the read side, GOP bytes are fetched by an

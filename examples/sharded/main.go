@@ -87,7 +87,8 @@ func main() {
 	// Simulate losing a disk: wipe shard 0's contents behind the store's
 	// back. Every GOP whose primary or secondary lived there still has a
 	// surviving replica, so reads keep returning complete data — the
-	// failover counter shows the detour.
+	// failover counter shows the detour, and the write-repair journal
+	// records each copy a failover read found missing.
 	if err := sys.Close(); err != nil {
 		log.Fatal(err)
 	}
@@ -100,18 +101,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, _ := sys.ReplicationStats()
-	fmt.Printf("after wiping shard 0: read %d frames (failovers=%d)\n",
-		res.FrameCount(), rep.Failovers)
+	cl, _ := sys.ClusterStats()
+	fmt.Printf("after wiping shard 0: read %d frames (failovers=%d, journaled repairs=%d)\n",
+		res.FrameCount(), cl.Failovers, cl.JournalDepth)
 
-	// One maintenance pass scrubs the placements and re-copies the lost
-	// replicas from the survivors: shard 0 fills back up and the store is
-	// fully replicated again.
+	// One maintenance pass drains the journal, then scrubs the placements
+	// and re-copies the remaining lost replicas from the survivors: shard
+	// 0 fills back up and the store is fully replicated again.
 	if err := sys.Maintain(); err != nil {
 		log.Fatal(err)
 	}
-	rep, _ = sys.ReplicationStats()
+	cl, _ = sys.ClusterStats()
 	fmt.Printf("scrub: checked=%d repaired=%d unrecoverable=%d; shard 0 holds %d GOPs again\n",
-		rep.LastScrub.Checked, rep.LastScrub.Repaired, rep.LastScrub.Unrecoverable,
+		cl.LastScrub.Checked, cl.LastScrub.Repaired, cl.LastScrub.Unrecoverable,
 		countGOPs(roots[0]))
+	for _, h := range cl.NodeHealth {
+		fmt.Printf("  %s: errors=%d demoted=%v\n", filepath.Base(h.Addr), h.Errors, h.Demoted)
+	}
 }

@@ -134,7 +134,7 @@ func runDegradedRead(cfg DegradedConfig, reads int) (time.Duration, int64, int, 
 		bytes = res.Stats.BytesRead
 	}
 	var failovers int64
-	if rep, ok := s.ReplicationStats(); ok {
+	if rep, ok := s.ClusterStats(); ok {
 		failovers = rep.Failovers
 	}
 	return best, bytes, frames, failovers, nil

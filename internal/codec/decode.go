@@ -55,9 +55,7 @@ func (c lossyCodec) DecodeRange(data []byte, hd Header, from, to int) ([]*frame.
 	out := make([]*frame.Frame, 0, to-from)
 	var recon [3]plane
 	for i := 0; i < to; i++ {
-		zr := flate.NewReader(bytes.NewReader(payloads[i]))
-		stream, err := io.ReadAll(zr)
-		zr.Close()
+		stream, err := inflateFrame(payloads[i], hd, prof, hd.FrameTypes[i] != IFrame)
 		if err != nil {
 			return nil, fmt.Errorf("codec: frame %d entropy decode: %w", i, err)
 		}
@@ -98,6 +96,37 @@ func (c lossyCodec) DecodeRange(data []byte, hd Header, from, to int) ([]*frame.
 		}
 	}
 	return out, nil
+}
+
+// inflateFrame inflates one frame's residual stream and checks that its
+// length fits the header before any plane is allocated. Every Y, U and
+// V sample codes one residual of 1 or 3 bytes, after the motion-vector
+// table for a P-frame, so a legal stream holds between mv+samples and
+// mv+3*samples bytes. The lower bound stops a crafted header (16K x 16K
+// over a few bytes of payload) from allocating its planes before the
+// residuals run out; the upper bound caps the inflate, so an inflate
+// bomb cannot grow past the largest frame the header allows.
+func inflateFrame(payload []byte, hd Header, prof profile, pFrame bool) ([]byte, error) {
+	samples := hd.Width*hd.Height + 2*(hd.Width/2)*(hd.Height/2)
+	mvBytes := 0
+	if pFrame && prof.searchRadius > 0 {
+		bs := prof.blockSize
+		mvBytes = 2 * ((hd.Width + bs - 1) / bs) * ((hd.Height + bs - 1) / bs)
+	}
+	least, most := mvBytes+samples, mvBytes+3*samples
+	zr := flate.NewReader(bytes.NewReader(payload))
+	defer zr.Close()
+	stream, err := io.ReadAll(io.LimitReader(zr, int64(most)+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(stream) > most {
+		return nil, fmt.Errorf("residual stream exceeds the %d bytes a %dx%d frame can code", most, hd.Width, hd.Height)
+	}
+	if len(stream) < least {
+		return nil, fmt.Errorf("%d-byte residual stream, a %dx%d frame needs at least %d: %w", len(stream), hd.Width, hd.Height, least, errTruncated)
+	}
+	return stream, nil
 }
 
 // planeDims returns the Y, U, V plane dimensions for a YUV420 frame.

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/frame"
@@ -92,5 +93,32 @@ func TestDecodeRejectsImplausibleHeaders(t *testing.T) {
 	}
 	if err := frame.PixelFormat(200).Validate(16, 8); err == nil {
 		t.Error("unknown pixel format validated")
+	}
+}
+
+// TestLossyDecodeChecksPayloadBeforeAllocating crafts a 16384x16384
+// header (the largest legal size) over the few-byte payload of a tiny
+// GOP. The lossy decoders must reject it from the residual stream's
+// length, without first allocating the ~400 MB of planes the header
+// declares.
+func TestLossyDecodeChecksPayloadBeforeAllocating(t *testing.T) {
+	frames := yuvScene(3, 16, 8, 9)
+	for _, id := range []ID{H264, HEVC} {
+		data, _, err := EncodeGOP(frames, id, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data[6+2:], maxDimension)
+		binary.LittleEndian.PutUint32(data[6+6:], maxDimension)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err = DecodeGOP(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: 16K header over a tiny payload decoded", id)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 16<<20 {
+			t.Errorf("%s: rejecting a 16K header allocated %d MB", id, n>>20)
+		}
 	}
 }

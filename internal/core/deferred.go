@@ -177,10 +177,11 @@ const tempSweepAge = time.Hour
 // names mean no later write ever renames an orphan away, and doing the
 // full-tree walk here keeps it off the open and foreground paths), and
 // finally — when the backend keeps redundant copies — a replication
-// scrub that re-copies missing or stale replicas from a healthy copy so
-// a briefly-degraded shard root converges back to full R-way
-// replication (ScrubStats are surfaced via ReplicationStats and vssd
-// /metrics). The paper runs maintenance "in a background thread when no
+// scrub that drains the ring's write-repair journal and re-copies
+// missing or stale replicas from a healthy copy, so a briefly-degraded
+// shard root or node converges back to full R-way replication
+// (ScrubStats are surfaced via ClusterStats and the vssd /metrics
+// cluster section). The paper runs maintenance "in a background thread when no
 // other requests are being executed" and "periodically and
 // non-quiescently". It holds at most one video's lock at a time, so it
 // never blocks foreground reads and writes of other videos.

@@ -123,7 +123,7 @@ func TestReplicatedStoreSurvivesRootLoss(t *testing.T) {
 	if err := s.Maintain(); err != nil {
 		t.Fatalf("maintain with one root wiped: %v", err)
 	}
-	rep, ok := s.ReplicationStats()
+	rep, ok := s.ClusterStats()
 	if !ok {
 		t.Fatal("replicated store reports no replication stats")
 	}

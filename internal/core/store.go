@@ -349,10 +349,11 @@ func (s *Store) BackendStats() storage.BackendStats { return s.files.Stats() }
 // count in BackendStats like the store's own.
 func (s *Store) Backend() storage.Backend { return s.files }
 
-// ClusterStats snapshots routed-fleet health (per-node errors and
-// demotions, write-repair journal depth, repair and scrub counters) when
-// the backend routes GOPs across remote nodes (internal/router). ok is
-// false for local backends. Safe for concurrent use.
+// ClusterStats snapshots replicated-ring health (per-member errors and
+// demotions, read failovers, write-repair journal depth, repair and
+// scrub counters) when the backend is a storage.Ring — local shard
+// roots or remote nodes. ok is false for single-store backends
+// (localfs, mem). Safe for concurrent use.
 func (s *Store) ClusterStats() (storage.ClusterStats, bool) {
 	cr := storage.AsClusterReporter(s.files)
 	if cr == nil {
@@ -361,30 +362,17 @@ func (s *Store) ClusterStats() (storage.ClusterStats, bool) {
 	return cr.ClusterStats(), true
 }
 
-// ReplicationStats snapshots replica placement, read-failover, per-shard
-// health, and scrub counters when the backend keeps redundant copies
-// (the replicated sharded backend). ok is false for backends with no
-// replication (localfs, mem). Safe for concurrent use.
-func (s *Store) ReplicationStats() (storage.ReplicationStats, bool) {
-	sc := storage.AsScrubber(s.files)
-	if sc == nil {
-		return storage.ReplicationStats{}, false
-	}
-	return sc.ReplicationStats(), true
-}
-
 // scrub runs one replication scrub pass when the backend keeps
 // redundant copies, feeding it the catalog's expected GOP sizes so a
 // repair always restores the bytes the metadata describes: a stale
 // replica (a write that missed a flapping shard) can never win over the
-// copy the catalog points at, whatever their relative sizes. A backend
-// with replication machinery but a single copy per GOP (sharded at
-// replicas=1) is skipped — there is nothing to repair from, and the
-// full-tree walk plus catalog snapshot would tax every Maintain for
-// nothing.
+// copy the catalog points at, whatever their relative sizes. A ring
+// with a single copy per GOP (replicas=1) is skipped — there is nothing
+// to repair from, and the full-tree walk plus catalog snapshot would tax
+// every Maintain for nothing.
 func (s *Store) scrub() error {
 	sc := storage.AsScrubber(s.files)
-	if sc == nil || sc.ReplicationStats().Replicas < 2 {
+	if sc == nil || sc.ClusterStats().Replicas < 2 {
 		return nil
 	}
 	_, err := sc.Scrub(s.sizeOracle())

@@ -5,15 +5,10 @@
 // out-of-sync copies — first opportunistically from a write-repair
 // journal, then authoritatively from full scrub passes.
 //
-// The design deliberately mirrors the replicated sharded backend
-// (storage.Sharded): same FNV-1a ring placement, same first-success
-// write durability, same read-failover health accounting with demotion
-// of flapping members, same scrub-repair engine
-// (storage.ScrubReplicas). A node here is what a filesystem root is
-// there; the only genuinely new machinery is the journal (journal.go),
-// which exists because repairing over the network is expensive enough
-// that "wait for the next full scrub" — fine across local roots — would
-// leave the fleet under-replicated for minutes.
+// All of that is storage.Ring, the same replicated ring a sharded store
+// runs over local filesystem roots; a node here is what a root is
+// there. This package only dials node addresses into storage.Remote
+// members.
 //
 // The router itself holds no durable state: placement is a pure
 // function of the address and the node list, and the journal is a
@@ -25,509 +20,26 @@
 package router
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"hash/fnv"
-	"io/fs"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/storage"
 )
 
-// demoteAfter is the consecutive-failure streak at which a node is
-// demoted to last resort in the read failover order (same constant and
-// semantics as the sharded backend's).
-const demoteAfter = 3
-
-// nodeHealth tracks one node's failure counters: errors is cumulative,
-// streak counts consecutive failures and resets on any success.
-type nodeHealth struct {
-	errors atomic.Int64
-	streak atomic.Int64
-}
-
-// Cluster is a storage.Backend over a fleet of replica stores — in
-// production storage.Remote nodes speaking the vssd wire protocol. It
-// implements storage.Scrubber (full repair passes), storage.ExpectReader
-// (stale-copy failover on rewrites), and storage.ClusterReporter (the
-// /metrics cluster section).
-type Cluster struct {
-	nodes    []storage.Backend
-	labels   []string // node identities for health rows and error tags
-	replicas int
-
-	health    []nodeHealth
-	failovers atomic.Int64
-	journal   *journal
-
-	repairMu       sync.Mutex // serializes Repair passes
-	repairCycles   atomic.Int64
-	repaired       atomic.Int64
-	repairFailures atomic.Int64
-
-	scrubMu   sync.Mutex
-	scrubs    int64
-	lastScrub storage.ScrubStats
-}
-
 // Open connects to a fleet of vssd nodes and returns the routing
 // backend over them: one keep-alive Client per address, wrapped in
-// storage.Remote with the given retry options. The address ORDER is
-// part of the cluster's identity — reopening the same fleet in a
-// different order scatters reads. Open does not probe the nodes; call
-// Ping for that.
-func Open(addrs []string, replicas int, opts storage.RemoteOptions) (*Cluster, error) {
+// storage.Remote with the given retry options and labeled by its
+// address. The address ORDER is part of the cluster's identity —
+// reopening the same fleet in a different order scatters reads. Open
+// does not probe the nodes; call Ping for that.
+func Open(addrs []string, replicas int, opts storage.RemoteOptions) (*storage.Ring, error) {
 	nodes := make([]storage.Backend, len(addrs))
-	labels := make([]string, len(addrs))
 	for i, addr := range addrs {
 		nodes[i] = storage.NewRemote(&server.Client{Base: addr, Name: "vssrouter"}, opts)
-		labels[i] = addr
 	}
-	return New(nodes, labels, replicas)
+	return New(nodes, addrs, replicas)
 }
 
-// New builds a Cluster over arbitrary replica stores — the constructor
-// tests use with in-memory nodes. labels may be nil (node indexes are
-// used) or must match nodes in length.
-func New(nodes []storage.Backend, labels []string, replicas int) (*Cluster, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("router: cluster needs at least one node")
-	}
-	if labels == nil {
-		labels = make([]string, len(nodes))
-		for i := range labels {
-			labels[i] = fmt.Sprintf("node-%d", i)
-		}
-	}
-	if len(labels) != len(nodes) {
-		return nil, fmt.Errorf("router: %d labels for %d nodes", len(labels), len(nodes))
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > len(nodes) {
-		return nil, fmt.Errorf("router: %d replicas need %d distinct nodes, have %d", replicas, replicas, len(nodes))
-	}
-	return &Cluster{
-		nodes:    nodes,
-		labels:   labels,
-		replicas: replicas,
-		health:   make([]nodeHealth, len(nodes)),
-		journal:  newJournal(),
-	}, nil
-}
-
-// Name identifies the backend kind.
-func (c *Cluster) Name() string { return "cluster" }
-
-// Nodes returns the number of nodes in the fleet.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
-
-// Replicas returns the number of copies kept of every GOP.
-func (c *Cluster) Replicas() int { return c.replicas }
-
-// Ping probes every node's health endpoint (for nodes that have one)
-// and joins the failures — the router daemon's startup readiness check.
-func (c *Cluster) Ping(ctx context.Context) error {
-	var errs []error
-	for i, n := range c.nodes {
-		p, ok := n.(interface{ Ping(context.Context) error })
-		if !ok {
-			continue
-		}
-		if err := p.Ping(ctx); err != nil {
-			errs = append(errs, c.nodeErr(i, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// nodeOf maps a GOP address to its primary node — the same stable
-// FNV-1a hash as the sharded backend, over nodes instead of roots.
-func (c *Cluster) nodeOf(video, physDir string, seq int) int {
-	h := fnv.New32a()
-	fmt.Fprintf(h, "%s\x00%s\x00%d", video, physDir, seq)
-	return int(h.Sum32() % uint32(len(c.nodes)))
-}
-
-// placement maps a GOP address to the nodes holding its replicas: the
-// primary followed by its ring successors. The R = 1 placement is a
-// prefix of every larger R's, so raising -replicas on a live fleet is
-// safe (the next scrub backfills the new copies).
-func (c *Cluster) placement(video, physDir string, seq int) []int {
-	p := make([]int, c.replicas)
-	first := c.nodeOf(video, physDir, seq)
-	for i := range p {
-		p[i] = (first + i) % len(c.nodes)
-	}
-	return p
-}
-
-// readOrder returns the placement reordered for failover: healthy nodes
-// in placement order first, demoted nodes last.
-func (c *Cluster) readOrder(p []int) []int {
-	if len(p) == 1 {
-		return p
-	}
-	order := make([]int, 0, len(p))
-	var demoted []int
-	for _, i := range p {
-		if c.health[i].streak.Load() >= demoteAfter {
-			demoted = append(demoted, i)
-		} else {
-			order = append(order, i)
-		}
-	}
-	return append(order, demoted...)
-}
-
-// noteResult folds one node operation's outcome into its health
-// counters; a success re-promotes a demoted node.
-func (c *Cluster) noteResult(i int, err error) {
-	if err == nil {
-		c.health[i].streak.Store(0)
-		return
-	}
-	c.health[i].errors.Add(1)
-	c.health[i].streak.Add(1)
-}
-
-// nodeErr tags an error with the node it came from, preserving the
-// chain for errors.Is.
-func (c *Cluster) nodeErr(i int, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("node %s: %w", c.labels[i], err)
-}
-
-// WriteGOP fans the write out to every replica node in parallel. The
-// first success makes the write durable; nodes that missed the write
-// are journaled for the next Repair pass (then, failing that, the next
-// scrub). Only when every replica fails does the write itself fail —
-// and then nothing is journaled, because no copy exists to repair from.
-func (c *Cluster) WriteGOP(video, physDir string, seq int, data []byte) error {
-	p := c.placement(video, physDir, seq)
-	if len(p) == 1 {
-		i := p[0]
-		err := c.nodes[i].WriteGOP(video, physDir, seq, data)
-		c.noteResult(i, err)
-		return c.nodeErr(i, err)
-	}
-	errs := make([]error, len(p))
-	var wg sync.WaitGroup
-	for k, i := range p {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := c.nodes[i].WriteGOP(video, physDir, seq, data)
-			c.noteResult(i, err)
-			errs[k] = c.nodeErr(i, err)
-		}()
-	}
-	wg.Wait()
-	ok := false
-	for _, err := range errs {
-		if err == nil {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		return errors.Join(errs...)
-	}
-	addr := storage.GOPAddr{Video: video, PhysDir: physDir, Seq: seq}
-	for k, i := range p {
-		if errs[k] != nil {
-			c.journal.add(addr, i)
-		}
-	}
-	return nil
-}
-
-// errWrongSize marks a replica whose copy exists but is not the size
-// the caller expects (see ReadGOPExpect).
-var errWrongSize = errors.New("router: replica is not the expected size")
-
-// readReplicas runs op against a GOP's replicas in failover order until
-// one succeeds, with the sharded backend's health accounting — a
-// not-exist (or wrong-size) node is blamed only when another replica
-// serves the bytes ("evictions blame nobody") — plus one cluster-only
-// step: a node caught out of sync that way is journaled, so the copy a
-// failover read discovered missing is restored by the next Repair pass
-// instead of waiting for a scrub.
-//
-// When ctx carries a request trace, every failed attempt and every
-// off-primary success is recorded as a span on it, so /debug/traces
-// shows exactly which nodes a failover read visited and how long each
-// hop cost.
-func (c *Cluster) readReplicas(ctx context.Context, addr storage.GOPAddr, p []int, op func(node int) error) error {
-	tr := obs.FromContext(ctx)
-	if len(p) == 1 {
-		i := p[0]
-		err := op(i)
-		if err == nil || errors.Is(err, fs.ErrNotExist) {
-			if err == nil {
-				c.noteResult(i, nil)
-			}
-			return c.nodeErr(i, err)
-		}
-		c.noteResult(i, err)
-		return c.nodeErr(i, err)
-	}
-	var errs []error
-	var missing []int
-	for _, i := range c.readOrder(p) {
-		var attemptStart time.Time
-		if tr != nil {
-			attemptStart = time.Now()
-		}
-		err := op(i)
-		if err == nil {
-			c.noteResult(i, nil)
-			for _, m := range missing {
-				c.noteResult(m, fmt.Errorf("out of sync"))
-				c.journal.add(addr, m)
-			}
-			if i != p[0] {
-				c.failovers.Add(1)
-				if tr != nil {
-					tr.AddSpan(obs.StageFetch, "failover to "+c.labels[i], attemptStart, time.Since(attemptStart), nil)
-				}
-			}
-			return nil
-		}
-		if tr != nil {
-			tr.AddSpan(obs.StageFetch, "fetch "+c.labels[i], attemptStart, time.Since(attemptStart), err)
-		}
-		if errors.Is(err, fs.ErrNotExist) || errors.Is(err, errWrongSize) {
-			missing = append(missing, i)
-		} else {
-			c.noteResult(i, err)
-		}
-		errs = append(errs, c.nodeErr(i, err))
-	}
-	return errors.Join(errs...)
-}
-
-// ReadGOP reads one GOP, failing over through its replica nodes.
-func (c *Cluster) ReadGOP(video, physDir string, seq int) ([]byte, error) {
-	return c.ReadGOPContext(context.Background(), video, physDir, seq)
-}
-
-// ReadGOPContext is ReadGOP with the caller's context flowing to every
-// node attempt (trace header on the wire, failover hops recorded as
-// spans on the context's trace, remote retries abandoned on cancel).
-func (c *Cluster) ReadGOPContext(ctx context.Context, video, physDir string, seq int) ([]byte, error) {
-	var data []byte
-	addr := storage.GOPAddr{Video: video, PhysDir: physDir, Seq: seq}
-	err := c.readReplicas(ctx, addr, c.placement(video, physDir, seq), func(i int) error {
-		var err error
-		data, err = storage.ReadGOPCtx(ctx, c.nodes[i], video, physDir, seq)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// ReadGOPExpect reads one GOP, failing over past replicas whose copy is
-// not the expected size (stale after a rewrite that missed their node);
-// the stale nodes are journaled for repair. Same fallback semantics as
-// Sharded.ReadGOPExpect: if NO replica has the expected size the
-// expectation itself is presumed stale and the read retries plain.
-func (c *Cluster) ReadGOPExpect(video, physDir string, seq int, want int64) ([]byte, error) {
-	return c.ReadGOPExpectContext(context.Background(), video, physDir, seq, want)
-}
-
-// ReadGOPExpectContext is ReadGOPExpect with the caller's context, as
-// ReadGOPContext.
-func (c *Cluster) ReadGOPExpectContext(ctx context.Context, video, physDir string, seq int, want int64) ([]byte, error) {
-	if c.replicas == 1 || want < 0 {
-		return c.ReadGOPContext(ctx, video, physDir, seq)
-	}
-	addr := storage.GOPAddr{Video: video, PhysDir: physDir, Seq: seq}
-	var data []byte
-	err := c.readReplicas(ctx, addr, c.placement(video, physDir, seq), func(i int) error {
-		d, err := storage.ReadGOPCtx(ctx, c.nodes[i], video, physDir, seq)
-		if err != nil {
-			return err
-		}
-		if int64(len(d)) != want {
-			return fmt.Errorf("node %s has %d bytes, want %d: %w", c.labels[i], len(d), want, errWrongSize)
-		}
-		data = d
-		return nil
-	})
-	if err == nil {
-		return data, nil
-	}
-	if errors.Is(err, errWrongSize) {
-		return c.ReadGOPContext(ctx, video, physDir, seq)
-	}
-	return nil, err
-}
-
-// GOPSize returns the stored size of one GOP from the first healthy
-// replica in failover order.
-func (c *Cluster) GOPSize(video, physDir string, seq int) (int64, error) {
-	var n int64
-	addr := storage.GOPAddr{Video: video, PhysDir: physDir, Seq: seq}
-	err := c.readReplicas(context.Background(), addr, c.placement(video, physDir, seq), func(i int) error {
-		var err error
-		n, err = c.nodes[i].GOPSize(video, physDir, seq)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// DeleteGOP removes every replica of one GOP in REVERSE placement order
-// (the sharded backend's eviction-race rationale), after purging any
-// pending journal repair so it cannot resurrect the GOP.
-func (c *Cluster) DeleteGOP(video, physDir string, seq int) error {
-	addr := storage.GOPAddr{Video: video, PhysDir: physDir, Seq: seq}
-	c.journal.forget(func(a storage.GOPAddr) bool { return a == addr })
-	var errs []error
-	p := c.placement(video, physDir, seq)
-	for k := len(p) - 1; k >= 0; k-- {
-		i := p[k]
-		err := c.nodes[i].DeleteGOP(video, physDir, seq)
-		c.noteResult(i, err)
-		if err != nil {
-			errs = append(errs, c.nodeErr(i, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// LinkGOP makes dst share src's bytes on every dst replica node: a
-// node-local link where a dst node also holds a src replica (the node's
-// own backend links or copies), a routed copy otherwise. First replica
-// success makes the link durable; failed destinations are journaled.
-func (c *Cluster) LinkGOP(video, srcDir string, srcSeq int, dstVideo, dstDir string, dstSeq int) error {
-	onSrc := make(map[int]bool, c.replicas)
-	for _, i := range c.placement(video, srcDir, srcSeq) {
-		onSrc[i] = true
-	}
-	var data []byte
-	var dataErr error
-	fetched := false
-	fetch := func() ([]byte, error) {
-		if !fetched {
-			fetched = true
-			data, dataErr = c.ReadGOP(video, srcDir, srcSeq)
-		}
-		return data, dataErr
-	}
-	var errs []error
-	ok := false
-	var failed []int
-	for _, d := range c.placement(dstVideo, dstDir, dstSeq) {
-		if onSrc[d] {
-			err := c.nodes[d].LinkGOP(video, srcDir, srcSeq, dstVideo, dstDir, dstSeq)
-			if err == nil {
-				c.noteResult(d, nil)
-				ok = true
-				continue
-			}
-			if !errors.Is(err, fs.ErrNotExist) {
-				c.noteResult(d, err)
-			}
-			// The node's src replica may be missing or the node degraded;
-			// fall through to copying from a healthy replica.
-		}
-		b, err := fetch()
-		if err != nil {
-			errs = append(errs, err)
-			failed = append(failed, d)
-			continue
-		}
-		if err := c.nodes[d].WriteGOP(dstVideo, dstDir, dstSeq, b); err != nil {
-			c.noteResult(d, err)
-			errs = append(errs, c.nodeErr(d, err))
-			failed = append(failed, d)
-			continue
-		}
-		c.noteResult(d, nil)
-		ok = true
-	}
-	if ok {
-		addr := storage.GOPAddr{Video: dstVideo, PhysDir: dstDir, Seq: dstSeq}
-		for _, d := range failed {
-			c.journal.add(addr, d)
-		}
-		return nil
-	}
-	return errors.Join(errs...)
-}
-
-// fanOut runs fn against every node in parallel and joins the errors.
-func (c *Cluster) fanOut(fn func(i int, node storage.Backend) error) error {
-	errs := make([]error, len(c.nodes))
-	var wg sync.WaitGroup
-	for i, node := range c.nodes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := fn(i, node)
-			c.noteResult(i, err)
-			errs[i] = c.nodeErr(i, err)
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// DeletePhysical removes one physical video from every node.
-func (c *Cluster) DeletePhysical(video, physDir string) error {
-	c.journal.forget(func(a storage.GOPAddr) bool {
-		return a.Video == video && a.PhysDir == physDir
-	})
-	return c.fanOut(func(_ int, node storage.Backend) error {
-		return node.DeletePhysical(video, physDir)
-	})
-}
-
-// DeleteVideo removes a logical video's data from every node.
-func (c *Cluster) DeleteVideo(video string) error {
-	c.journal.forget(func(a storage.GOPAddr) bool { return a.Video == video })
-	return c.fanOut(func(_ int, node storage.Backend) error {
-		return node.DeleteVideo(video)
-	})
-}
-
-// Walk visits every GOP exactly once: under replication the same
-// address exists on several nodes and only the first copy found (in
-// node order) is reported. Nodes are walked sequentially — fn is not
-// required to be concurrency-safe.
-func (c *Cluster) Walk(fn func(video, physDir string, seq int, size int64) error) error {
-	var seen map[storage.GOPAddr]bool
-	if c.replicas > 1 {
-		seen = make(map[storage.GOPAddr]bool)
-	}
-	for i, node := range c.nodes {
-		err := node.Walk(func(video, physDir string, seq int, size int64) error {
-			if seen != nil {
-				a := storage.GOPAddr{Video: video, PhysDir: physDir, Seq: seq}
-				if seen[a] {
-					return nil
-				}
-				seen[a] = true
-			}
-			return fn(video, physDir, seq, size)
-		})
-		if err != nil {
-			return c.nodeErr(i, err)
-		}
-	}
-	return nil
+// New builds the ring over arbitrary replica stores; see
+// storage.NewRing.
+func New(nodes []storage.Backend, labels []string, replicas int) (*storage.Ring, error) {
+	return storage.NewRing(nodes, labels, replicas)
 }

@@ -20,25 +20,45 @@ import (
 // The cluster must satisfy the full backend surface plus the interfaces
 // core discovers through the wrap chain.
 var (
-	_ storage.Backend         = (*router.Cluster)(nil)
-	_ storage.Scrubber        = (*router.Cluster)(nil)
-	_ storage.ExpectReader    = (*router.Cluster)(nil)
-	_ storage.ClusterReporter = (*router.Cluster)(nil)
+	_ storage.Backend         = (*storage.Ring)(nil)
+	_ storage.Scrubber        = (*storage.Ring)(nil)
+	_ storage.ExpectReader    = (*storage.Ring)(nil)
+	_ storage.ClusterReporter = (*storage.Ring)(nil)
 )
 
-// memCluster builds a cluster over in-memory nodes and returns the
-// nodes for direct inspection.
-func memCluster(t *testing.T, n, replicas int) (*router.Cluster, []storage.Backend) {
+// memberKinds builds one ring member of each local kind: an in-memory
+// stand-in for a remote node, and a localfs root (what a sharded store's
+// members are).
+var memberKinds = map[string]func(t *testing.T) storage.Backend{
+	"mem": func(*testing.T) storage.Backend { return storage.NewMem() },
+	"localfs": func(t *testing.T) storage.Backend {
+		s, err := storage.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	},
+}
+
+// ringOf builds a cluster over n fresh members and returns the members
+// for direct inspection.
+func ringOf(t *testing.T, newMember func(*testing.T) storage.Backend, n, replicas int) (*storage.Ring, []storage.Backend) {
 	t.Helper()
 	nodes := make([]storage.Backend, n)
 	for i := range nodes {
-		nodes[i] = storage.NewMem()
+		nodes[i] = newMember(t)
 	}
 	c, err := router.New(nodes, nil, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c, nodes
+}
+
+// memCluster builds a cluster over in-memory nodes.
+func memCluster(t *testing.T, n, replicas int) (*storage.Ring, []storage.Backend) {
+	t.Helper()
+	return ringOf(t, memberKinds["mem"], n, replicas)
 }
 
 func TestClusterConformance(t *testing.T) {
@@ -87,10 +107,16 @@ func nodeAddrs(t *testing.T, node storage.Backend) map[storage.GOPAddr]bool {
 // recover full replication with one Repair (the copies failover reads
 // caught missing) plus one scrub (the copies reads never probed — a
 // healthy primary hides its wiped successor). A second scrub proves
-// convergence.
+// convergence. It runs over in-memory and localfs members alike.
 func TestClusterWipeNodeRepair(t *testing.T) {
+	for kind, newMember := range memberKinds {
+		t.Run(kind, func(t *testing.T) { wipeNodeRepair(t, newMember) })
+	}
+}
+
+func wipeNodeRepair(t *testing.T, newMember func(*testing.T) storage.Backend) {
 	const gops = 16
-	c, nodes := memCluster(t, 3, 2)
+	c, nodes := ringOf(t, newMember, 3, 2)
 	sizes := storage.StaticSizes{}
 	for i := range gops {
 		if err := c.WriteGOP("v", "p", i, payload(i)); err != nil {
@@ -217,11 +243,18 @@ func (g *gated) Walk(fn func(video, physDir string, seq int, size int64) error) 
 
 // TestClusterOutageJournalsWrites takes one node down, keeps writing,
 // and requires the journal to re-replicate everything the node missed
-// once it returns — without a scrub.
+// once it returns — without a scrub. It runs over in-memory and localfs
+// members alike.
 func TestClusterOutageJournalsWrites(t *testing.T) {
+	for kind, newMember := range memberKinds {
+		t.Run(kind, func(t *testing.T) { outageJournalsWrites(t, newMember) })
+	}
+}
+
+func outageJournalsWrites(t *testing.T, newMember func(*testing.T) storage.Backend) {
 	const gops = 12
-	down := &gated{Backend: storage.NewMem()}
-	nodes := []storage.Backend{storage.NewMem(), down, storage.NewMem()}
+	down := &gated{Backend: newMember(t)}
+	nodes := []storage.Backend{newMember(t), down, newMember(t)}
 	c, err := router.New(nodes, []string{"n0", "n1", "n2"}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +391,7 @@ func TestClusterDemotesFlappingNode(t *testing.T) {
 
 // wireCluster boots n real vssd nodes on TCP listeners and a cluster
 // routing to them over the wire protocol.
-func wireCluster(t *testing.T, n, replicas int) (*router.Cluster, []*vss.System) {
+func wireCluster(t *testing.T, n, replicas int) (*storage.Ring, []*vss.System) {
 	t.Helper()
 	addrs := make([]string, n)
 	systems := make([]*vss.System, n)

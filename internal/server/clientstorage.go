@@ -155,7 +155,7 @@ func (c *Client) GOPDeleteVideo(ctx context.Context, video string) error {
 // GOPWalk enumerates every GOP on the node. The stream is framed like a
 // read response — one JSON entry per chunk, zero-length terminator — so
 // a walk cut off by a dying node is an error, never a silently short
-// listing.
+// listing; see readWalk for what an entry must satisfy.
 func (c *Client) GOPWalk(ctx context.Context, fn func(video, physDir string, seq int, size int64) error) error {
 	resp, err := c.do(ctx, http.MethodGet, "/gops", nil)
 	if err != nil {
@@ -165,29 +165,47 @@ func (c *Client) GOPWalk(ctx context.Context, fn func(video, physDir string, seq
 	if resp.StatusCode != http.StatusOK {
 		return errorFrom(resp)
 	}
+	return readWalk(resp.Body, fn)
+}
+
+// maxWalkEntryBytes bounds one framed walk entry. An entry is one small
+// JSON object — two path elements, a seq and a size — so the bound sits
+// far above any legitimate entry while keeping a corrupt or hostile
+// length prefix from costing more than this before it is rejected.
+const maxWalkEntryBytes = 64 << 10
+
+// readWalk decodes a framed walk stream, handing each entry to fn. The
+// walk feeds the replicated ring's scrub, whose repair writes go to the
+// other replicas, so an entry the storage plane itself would refuse —
+// a negative seq or size, or a video or physical-video name that is not
+// one non-empty path element — fails the walk instead of reaching fn.
+func readWalk(r io.Reader, fn func(video, physDir string, seq int, size int64) error) error {
 	var lenHdr [4]byte
 	buf := make([]byte, 0, 256)
 	for {
-		if _, err := io.ReadFull(resp.Body, lenHdr[:]); err != nil {
+		if _, err := io.ReadFull(r, lenHdr[:]); err != nil {
 			return fmt.Errorf("walk truncated before terminator: %w", err)
 		}
 		n := binary.BigEndian.Uint32(lenHdr[:])
 		if n == 0 {
 			return nil
 		}
-		if n > maxChunkBytes {
-			return fmt.Errorf("walk chunk length %d exceeds limit %d", n, maxChunkBytes)
+		if n > maxWalkEntryBytes {
+			return fmt.Errorf("walk entry length %d exceeds limit %d", n, maxWalkEntryBytes)
 		}
 		if cap(buf) < int(n) {
 			buf = make([]byte, n)
 		}
 		buf = buf[:n]
-		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+		if _, err := io.ReadFull(r, buf); err != nil {
 			return fmt.Errorf("walk truncated mid-entry: %w", err)
 		}
 		var e gopEntry
 		if err := json.Unmarshal(buf, &e); err != nil {
 			return fmt.Errorf("bad walk entry: %w", err)
+		}
+		if e.Seq < 0 || e.Size < 0 || !pathElem(e.Video) || !pathElem(e.Phys) {
+			return fmt.Errorf("bad walk entry %q/%q/%d (%d bytes)", e.Video, e.Phys, e.Seq, e.Size)
 		}
 		if err := fn(e.Video, e.Phys, e.Seq, e.Size); err != nil {
 			return err

@@ -156,15 +156,9 @@ type MetricsSnapshot struct {
 	// store plus its cumulative read/write byte and latency counters
 	// (vss.BackendStats, sampled at snapshot time).
 	Storage vss.BackendStats `json:"storage"`
-	// Replication is present only for backends with replication
-	// machinery — any sharded store, including -shards with the default
-	// replicas=1 (then failovers stay 0 and no scrubs run): placement
-	// config, read-failover count, per-shard error counters and
-	// demotion state, and the most recent scrub pass
-	// (vss.ReplicationStats, sampled at snapshot time).
-	Replication *vss.ReplicationStats `json:"replication,omitempty"`
-	// Cluster is present only when the store routes GOPs across remote
-	// vssd nodes (the vssrouterd daemon): per-node error counters and
+	// Cluster is present only when the store's backend is a replicated
+	// ring — sharded local roots (vssd -shards, any -replicas) or remote
+	// vssd nodes (the vssrouterd daemon): per-member error counters and
 	// demotion state, read failovers, write-repair journal depth, and
 	// repair/scrub counters (vss.ClusterStats, sampled at snapshot
 	// time).

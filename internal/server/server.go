@@ -145,13 +145,13 @@ func New(sys *vss.System, cfg Config) *Server {
 	// Storage plane: the GOP-level endpoints a router fleet uses to treat
 	// this node as a remote replica store (storageplane.go).
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("PUT /gops/{video}/{phys}/{seq}", s.handleGOPWrite)
-	s.mux.HandleFunc("GET /gops/{video}/{phys}/{seq}", s.handleGOPRead)
-	s.mux.HandleFunc("HEAD /gops/{video}/{phys}/{seq}", s.handleGOPRead)
-	s.mux.HandleFunc("DELETE /gops/{video}/{phys}/{seq}", s.handleGOPDelete)
-	s.mux.HandleFunc("POST /gops/{video}/{phys}/{seq}/link", s.handleGOPLink)
-	s.mux.HandleFunc("DELETE /gops/{video}/{phys}", s.handleGOPDeletePhysical)
-	s.mux.HandleFunc("DELETE /gops/{video}", s.handleGOPDeleteVideo)
+	s.mux.HandleFunc("PUT /gops/{video}/{phys}/{seq}", gopNames(s.handleGOPWrite))
+	s.mux.HandleFunc("GET /gops/{video}/{phys}/{seq}", gopNames(s.handleGOPRead))
+	s.mux.HandleFunc("HEAD /gops/{video}/{phys}/{seq}", gopNames(s.handleGOPRead))
+	s.mux.HandleFunc("DELETE /gops/{video}/{phys}/{seq}", gopNames(s.handleGOPDelete))
+	s.mux.HandleFunc("POST /gops/{video}/{phys}/{seq}/link", gopNames(s.handleGOPLink))
+	s.mux.HandleFunc("DELETE /gops/{video}/{phys}", gopNames(s.handleGOPDeletePhysical))
+	s.mux.HandleFunc("DELETE /gops/{video}", gopNames(s.handleGOPDeleteVideo))
 	s.mux.HandleFunc("GET /gops", s.handleGOPWalk)
 	return s
 }
@@ -838,15 +838,14 @@ func (s *Server) noteReadStats(st *vss.ReadStream) {
 
 // promOpts maps the snapshot's dynamic-key maps and object arrays onto
 // Prometheus labels: per-video rows become vss_videos_*{video="..."},
-// cluster node-health rows vss_cluster_node_health_*{node="addr"}, and
-// replication shard-health rows use the shard root as the label value.
+// and cluster member-health rows vss_cluster_node_health_*{node="addr"}
+// (a node's URL or a shard's root path).
 var promOpts = obs.PromOpts{
 	Labels: map[string]string{
-		"videos":                   "video",
-		"cluster_node_health":      "node",
-		"replication_shard_health": "shard",
+		"videos":              "video",
+		"cluster_node_health": "node",
 	},
-	NameFields: []string{"addr", "root"},
+	NameFields: []string{"addr"},
 }
 
 // wantsProm reports whether the client asked for Prometheus text
@@ -923,13 +922,8 @@ func (s *Server) metricsSnapshot() MetricsSnapshot {
 		Videos:   make(map[string]VideoMetrics),
 		Storage:  s.sys.BackendStats(),
 	}
-	// A routed store reports the cluster section; the generic replication
-	// section it also implements (nodes relabeled as shards) would repeat
-	// the same counters, so it is suppressed in favor of the richer view.
 	if cl, ok := s.sys.ClusterStats(); ok {
 		snap.Cluster = &cl
-	} else if rep, ok := s.sys.ReplicationStats(); ok {
-		snap.Replication = &rep
 	}
 	hits, misses := s.m.cacheHits.Load(), s.m.cacheMisses.Load()
 	entries, bytes, max := s.cache.stats()

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -41,6 +42,28 @@ func storageError(w http.ResponseWriter, err error) {
 		return
 	}
 	http.Error(w, err.Error(), http.StatusInternalServerError)
+}
+
+// gopNames guards a storage-plane handler: its {video} and {phys} path
+// values name directories under the node's storage root, so each must
+// be one path element — an escaped "../" would otherwise reach outside
+// the root (a write, or a DeleteVideo of the whole tree).
+func gopNames(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		for _, k := range []string{"video", "phys"} {
+			if v := r.PathValue(k); v != "" && !pathElem(v) {
+				http.Error(w, "bad "+k+" name", http.StatusBadRequest)
+				return
+			}
+		}
+		h(w, r)
+	}
+}
+
+// pathElem reports whether name can address one directory level of the
+// storage layout: non-empty, not "." or "..", and free of separators.
+func pathElem(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
 }
 
 // gopSeq parses the {seq} path value.
@@ -160,7 +183,7 @@ func (s *Server) handleGOPLink(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	dstSeq, err := strconv.Atoi(q.Get("seq"))
-	if err != nil || dstSeq < 0 || q.Get("video") == "" || q.Get("phys") == "" {
+	if err != nil || dstSeq < 0 || !pathElem(q.Get("video")) || !pathElem(q.Get("phys")) {
 		http.Error(w, "link needs video, phys, and seq query parameters", http.StatusBadRequest)
 		return
 	}

@@ -4,25 +4,28 @@ package storage
 // one directory per logical video, one physical-video subdirectory per
 // materialized view, one file per GOP — is a *logical* addressing scheme
 // (video, physDir, seq); a Backend decides where those GOPs physically
-// live. Three implementations ship:
+// live. The implementations:
 //
 //   - Store (localfs): one filesystem root, the paper's Figure 2 layout.
-//   - Sharded: N filesystem roots with GOPs placed by a stable hash of
-//     (video, physDir, seq), optionally R-way replicated (primary + ring
-//     successors) with read failover and scrub-repair; per-shard IO runs
-//     in parallel and a degraded shard surfaces errors per GOP — or, with
-//     replicas, not at all while a healthy copy survives.
 //   - Mem: an in-memory map, for tests and IO-free benchmarking.
 //   - Remote: GOPs stored on one vssd node over the wire protocol
-//     (remote.go); internal/router composes Remotes into a replicated
-//     fleet with the same ring/failover/scrub idiom as Sharded.
+//     (remote.go).
+//   - Ring: the one replicated composite (ring.go). It places each GOP
+//     on R of N member backends by a stable hash of (video, physDir,
+//     seq) — primary plus ring successors — with parallel write fan-out,
+//     read failover with demotion of flapping members, a write-repair
+//     journal and scrub-repair. Members are localfs roots
+//     (OpenSharded/OpenShardedReplicated, the "sharded" backend) or
+//     Remote nodes (internal/router, the "cluster" backend); a degraded
+//     member surfaces errors per GOP — or, with replicas, not at all
+//     while a healthy copy survives.
 //
 // Every implementation must be safe for concurrent use and must report
 // missing GOPs with errors that match errors.Is(err, fs.ErrNotExist), so
 // callers can distinguish "evicted under me" races from real IO failures.
 type Backend interface {
-	// Name identifies the backend kind ("localfs", "sharded", "mem") for
-	// metrics and operational labels.
+	// Name identifies the backend kind ("localfs", "sharded", "cluster",
+	// "mem", "remote") for metrics and operational labels.
 	Name() string
 	// WriteGOP atomically writes one GOP: readers never observe a torn
 	// GOP, and concurrent writers of the same (video, physDir, seq) leave

@@ -1,12 +1,11 @@
 package storage
 
-// This file declares the cluster-plane types shared between the storage
-// layer and the router subsystem (internal/router): the stats a routed
-// fleet reports, the reporter interface metrics layers discover, and the
-// reserved address under which the metadata catalog is snapshotted into
-// the backend. They live here — not in internal/router — so core and
-// internal/server can surface cluster metrics without importing the
-// router (which imports internal/server for its node clients).
+// This file declares the cluster-plane types of the replicated Ring: the
+// stats it reports, the reporter interface metrics layers discover, and
+// the reserved address under which the metadata catalog is snapshotted
+// into the backend. core and internal/server surface them without
+// importing internal/router (which imports internal/server for its node
+// clients).
 
 // CatalogSnapshotVideo is the reserved logical-video name under which
 // core.Store.Maintain snapshots the metadata catalog into the backend
@@ -24,31 +23,32 @@ const CatalogSnapshotVideo = ".vss-catalog"
 // snapshot GOP (seq 0 under it holds the snapshot.json bytes).
 const CatalogSnapshotDir = "snapshot"
 
-// NodeHealthStats is one node's row in ClusterStats — the cluster analog
-// of ShardHealthStats, keyed by the node's base URL instead of a root
-// path.
+// NodeHealthStats is one ring member's row in ClusterStats.
 type NodeHealthStats struct {
+	// Addr is the member's label: a remote node's base URL, or a local
+	// shard's root path.
 	Addr string `json:"addr"`
 	// Errors is the cumulative count of failed operations against this
-	// node (reads, writes, deletes, repairs).
+	// member (reads, writes, deletes, repairs).
 	Errors int64 `json:"errors"`
-	// Demoted reports whether the node currently sits at the back of the
-	// read failover order (consecutive failures, not yet followed by a
+	// Demoted reports whether the member currently sits at the back of
+	// the read failover order (consecutive failures, not yet followed by a
 	// success).
 	Demoted bool `json:"demoted"`
 }
 
-// ClusterStats is a point-in-time snapshot of a routed fleet: placement
-// config, failover activity, the write-repair journal, repair-cycle
-// counters, per-node health, and the most recent scrub pass. It is the
-// cluster section of vssd /metrics when the serving store routes to
-// remote nodes.
+// ClusterStats is a point-in-time snapshot of a Ring: placement config,
+// failover activity, the write-repair journal, repair-cycle counters,
+// per-member health, and the most recent scrub pass. It is the cluster
+// section of vssd /metrics whenever the serving store is a ring — local
+// shard roots or remote nodes.
 type ClusterStats struct {
+	// Nodes is the number of ring members (shard roots or nodes).
 	Nodes    int `json:"nodes"`
 	Replicas int `json:"replicas"`
-	// Failovers counts reads served by a non-primary replica node.
+	// Failovers counts reads served by a non-primary replica.
 	Failovers int64 `json:"failovers"`
-	// JournalDepth is the number of (GOP, node) repairs currently queued;
+	// JournalDepth is the number of (GOP, member) repairs currently queued;
 	// JournalDropped counts entries evicted without repair (journal full,
 	// or an entry exceeding its attempt budget) — those copies wait for
 	// the next full scrub instead.
@@ -67,17 +67,16 @@ type ClusterStats struct {
 	NodeHealth []NodeHealthStats `json:"node_health"`
 }
 
-// ClusterReporter is implemented by backends that route GOPs across a
-// fleet of nodes (internal/router's Cluster). Callers discover it through
-// AsClusterReporter so metrics wrappers stay transparent, the way
-// AsScrubber discovers Scrubber.
+// ClusterReporter is implemented by the Ring. Callers discover it
+// through AsClusterReporter so metrics wrappers stay transparent, the
+// way AsScrubber discovers Scrubber.
 type ClusterReporter interface {
 	ClusterStats() ClusterStats
 }
 
 // AsClusterReporter returns the nearest ClusterReporter in b's wrap chain
 // (chasing Unwrap like errors.Unwrap), or nil when the backend is not a
-// routed fleet.
+// ring.
 func AsClusterReporter(b Backend) ClusterReporter {
 	for b != nil {
 		if cr, ok := b.(ClusterReporter); ok {

@@ -16,7 +16,7 @@ import "context"
 
 // ContextReader is implemented by backends whose reads honor a caller
 // context (cancellation, trace propagation). Remote, Instrumented, and
-// the router's Cluster implement it.
+// the Ring implement it.
 type ContextReader interface {
 	ReadGOPContext(ctx context.Context, video, physDir string, seq int) ([]byte, error)
 }

@@ -1,22 +1,20 @@
-package router
+package storage
 
-import (
-	"sync"
+import "sync"
 
-	"repro/internal/storage"
-)
-
-// The write-repair journal remembers which (GOP, node) copies the
-// cluster knows to be missing — a replica write that failed while
-// another succeeded, or a failover read that caught a node without the
-// bytes a sibling served — so the next Repair pass re-creates exactly
-// those copies without walking the fleet. It is a best-effort
+// The write-repair journal remembers which (GOP, member) copies the
+// ring knows to be missing — a replica write that failed while another
+// succeeded, or a failover read that caught a member without the bytes
+// a sibling served — so the next Repair pass re-creates exactly those
+// copies without walking every member. It is a best-effort
 // accelerator, not the durability mechanism: the journal lives in
-// router memory, is bounded, and caps attempts per entry; anything it
+// process memory, is bounded, and caps attempts per entry; anything it
 // forgets (process restart, overflow, a copy that keeps failing) is
 // caught by the next full scrub. That split keeps the common case —
-// one node briefly down — repaired within one cycle while the scrub
-// stays the ground truth.
+// one member briefly down — repaired within one cycle while the scrub
+// stays the ground truth. It matters most over the network, where
+// "wait for the next full scrub" would leave a fleet under-replicated
+// for minutes.
 
 const (
 	// journalMax bounds queued entries; the oldest is evicted (and
@@ -32,7 +30,7 @@ const (
 
 // journalKey identifies one missing replica copy.
 type journalKey struct {
-	addr storage.GOPAddr
+	addr GOPAddr
 	node int
 }
 
@@ -58,7 +56,7 @@ func newJournal() *journal {
 
 // add queues one missing copy. Already-queued copies are ignored; when
 // the journal is full the oldest entry is evicted to the scrub.
-func (j *journal) add(addr storage.GOPAddr, node int) {
+func (j *journal) add(addr GOPAddr, node int) {
 	k := journalKey{addr, node}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -107,7 +105,7 @@ func (j *journal) requeue(e entry) {
 
 // forget removes every queued entry whose address matches, so a deleted
 // GOP's pending repair cannot resurrect it.
-func (j *journal) forget(match func(storage.GOPAddr) bool) {
+func (j *journal) forget(match func(GOPAddr) bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	kept := j.queue[:0]

@@ -10,7 +10,7 @@ import (
 // counters, the storage section of operational metrics (the vssd
 // /metrics endpoint serializes it as-is).
 type BackendStats struct {
-	// Backend is the wrapped backend's kind ("localfs", "sharded", "mem").
+	// Backend is the wrapped backend's kind (see Backend.Name).
 	Backend string `json:"backend"`
 	// Reads / Writes count ReadGOP / WriteGOP calls; bytes and
 	// cumulative latency cover the same calls, so mean latency is

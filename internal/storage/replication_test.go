@@ -13,7 +13,7 @@ import (
 
 // openReplicated builds the standard replication fixture: 4 roots under
 // one temp dir, 2 copies of every GOP.
-func openReplicated(t *testing.T) (*Sharded, []string) {
+func openReplicated(t *testing.T) (*Ring, []string) {
 	t.Helper()
 	dir := t.TempDir()
 	roots := make([]string, 4)
@@ -65,10 +65,10 @@ func TestReplicatedPlacement(t *testing.T) {
 		if len(p) != 2 || p[0] == p[1] {
 			t.Fatalf("seq %d: placement %v", seq, p)
 		}
-		if p[0] != s.shardOf("v", "p1", seq) {
-			t.Fatalf("seq %d: primary %d != shardOf %d", seq, p[0], s.shardOf("v", "p1", seq))
+		if p[0] != s.nodeOf("v", "p1", seq) {
+			t.Fatalf("seq %d: primary %d != shardOf %d", seq, p[0], s.nodeOf("v", "p1", seq))
 		}
-		if p[1] != (p[0]+1)%s.Shards() {
+		if p[1] != (p[0]+1)%s.Nodes() {
 			t.Fatalf("seq %d: successor %v", seq, p)
 		}
 	}
@@ -83,7 +83,7 @@ func TestReplicatedWriteFansOut(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, i := range s.placement("v", "p1", seq) {
-			got, err := s.shards[i].ReadGOP("v", "p1", seq)
+			got, err := s.nodes[i].ReadGOP("v", "p1", seq)
 			if err != nil || !bytes.Equal(got, payload(seq)) {
 				t.Fatalf("seq %d replica on shard %d: %v", seq, i, err)
 			}
@@ -113,16 +113,16 @@ func TestReplicatedReadFailover(t *testing.T) {
 			t.Fatalf("seq %d size after root wipe: %d %v", seq, sz, err)
 		}
 	}
-	st := s.ReplicationStats()
+	st := s.ClusterStats()
 	if st.Failovers == 0 {
 		t.Error("no failovers recorded despite a wiped root")
 	}
-	if st.ShardHealth[1].Errors == 0 {
-		t.Errorf("wiped shard not charged: %+v", st.ShardHealth)
+	if st.NodeHealth[1].Errors == 0 {
+		t.Errorf("wiped shard not charged: %+v", st.NodeHealth)
 	}
 	for _, i := range []int{0, 2, 3} {
-		if st.ShardHealth[i].Errors != 0 {
-			t.Errorf("healthy shard %d charged: %+v", i, st.ShardHealth[i])
+		if st.NodeHealth[i].Errors != 0 {
+			t.Errorf("healthy shard %d charged: %+v", i, st.NodeHealth[i])
 		}
 	}
 }
@@ -135,7 +135,7 @@ func TestReplicatedMissingGOPBlamesNobody(t *testing.T) {
 	if _, err := s.ReadGOP("v", "p1", 7); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing read error %v", err)
 	}
-	for i, h := range s.ReplicationStats().ShardHealth {
+	for i, h := range s.ClusterStats().NodeHealth {
 		if h.Errors != 0 {
 			t.Errorf("shard %d charged for a genuinely-missing GOP: %+v", i, h)
 		}
@@ -163,13 +163,13 @@ func TestScrubRepairsWipedRoot(t *testing.T) {
 	}
 	for seq := 0; seq < n; seq++ {
 		for _, i := range s.placement("v", "p1", seq) {
-			got, err := s.shards[i].ReadGOP("v", "p1", seq)
+			got, err := s.nodes[i].ReadGOP("v", "p1", seq)
 			if err != nil || !bytes.Equal(got, payload(seq)) {
 				t.Fatalf("seq %d replica on shard %d not restored: %v", seq, i, err)
 			}
 		}
 	}
-	if rep := s.ReplicationStats(); rep.Scrubs != 1 || rep.LastScrub != st {
+	if rep := s.ClusterStats(); rep.Scrubs != 1 || rep.LastScrub != st {
 		t.Errorf("replication stats did not record the scrub: %+v", rep)
 	}
 	// A second scrub finds nothing to do.
@@ -200,7 +200,7 @@ func TestScrubRepairsShortReplica(t *testing.T) {
 	if st.Repaired != 1 || st.Unrecoverable != 0 {
 		t.Fatalf("scrub stats %+v", st)
 	}
-	got, err := s.shards[victim].ReadGOP("v", "p1", 3)
+	got, err := s.nodes[victim].ReadGOP("v", "p1", 3)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("short replica not repaired: %v (%d bytes, want %d)", err, len(got), len(want))
 	}
@@ -220,7 +220,7 @@ func TestScrubOracleBeatsLargestCopy(t *testing.T) {
 	// The rewrite reaches only the primary; the successor keeps the
 	// stale 200-byte copy.
 	p := s.placement("v", "p1", 5)
-	if err := s.shards[p[0]].WriteGOP("v", "p1", 5, fresh); err != nil {
+	if err := s.nodes[p[0]].WriteGOP("v", "p1", 5, fresh); err != nil {
 		t.Fatal(err)
 	}
 	oracle := StaticSizes{GOPAddr{"v", "p1", 5}: int64(len(fresh))}
@@ -232,7 +232,7 @@ func TestScrubOracleBeatsLargestCopy(t *testing.T) {
 		t.Fatalf("scrub stats %+v", st)
 	}
 	for _, i := range p {
-		got, err := s.shards[i].ReadGOP("v", "p1", 5)
+		got, err := s.nodes[i].ReadGOP("v", "p1", 5)
 		if err != nil || !bytes.Equal(got, fresh) {
 			t.Fatalf("shard %d holds %d bytes after oracle scrub, want fresh copy: %v", i, len(got), err)
 		}
@@ -241,7 +241,7 @@ func TestScrubOracleBeatsLargestCopy(t *testing.T) {
 	// Without the oracle the stale copy would have won; with an oracle
 	// that disclaims the address entirely, the file is an orphan and the
 	// divergence is left alone.
-	if err := s.shards[p[1]].WriteGOP("v", "p1", 5, stale); err != nil {
+	if err := s.nodes[p[1]].WriteGOP("v", "p1", 5, stale); err != nil {
 		t.Fatal(err)
 	}
 	st, err = s.Scrub(StaticSizes{})
@@ -263,7 +263,7 @@ func TestScrubCountsTotalLoss(t *testing.T) {
 	}
 	// Lose every copy of seq 1 behind the store's back.
 	for _, i := range s.placement("v", "p1", 1) {
-		if err := s.shards[i].DeleteGOP("v", "p1", 1); err != nil {
+		if err := s.nodes[i].DeleteGOP("v", "p1", 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,7 +294,7 @@ func TestReadGOPExpectSkipsStaleReplica(t *testing.T) {
 	}
 	p := s.placement("v", "p1", 9)
 	// A rewrite that "missed" the successor: primary stale, successor fresh.
-	if err := s.shards[p[0]].WriteGOP("v", "p1", 9, stale); err != nil {
+	if err := s.nodes[p[0]].WriteGOP("v", "p1", 9, stale); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.ReadGOPExpect("v", "p1", 9, int64(len(fresh)))
@@ -344,9 +344,9 @@ func TestReplicatedDemotion(t *testing.T) {
 		}
 		wrote++
 	}
-	st := s.ReplicationStats()
-	if !st.ShardHealth[3].Demoted || st.ShardHealth[3].Errors < demoteAfter {
-		t.Fatalf("dead shard not demoted: %+v", st.ShardHealth[3])
+	st := s.ClusterStats()
+	if !st.NodeHealth[3].Demoted || st.NodeHealth[3].Errors < demoteAfter {
+		t.Fatalf("dead shard not demoted: %+v", st.NodeHealth[3])
 	}
 	if err := s.readOrderCheck(); err != nil {
 		t.Error(err)
@@ -366,14 +366,14 @@ func TestReplicatedDemotion(t *testing.T) {
 			break
 		}
 	}
-	if st := s.ReplicationStats(); st.ShardHealth[3].Demoted {
-		t.Errorf("healed shard still demoted: %+v", st.ShardHealth[3])
+	if st := s.ClusterStats(); st.NodeHealth[3].Demoted {
+		t.Errorf("healed shard still demoted: %+v", st.NodeHealth[3])
 	}
 }
 
 // readOrderCheck asserts demoted shards sort after healthy ones for a
 // placement that includes shard 3 (helper for TestReplicatedDemotion).
-func (s *Sharded) readOrderCheck() error {
+func (s *Ring) readOrderCheck() error {
 	for seq := 0; seq < 256; seq++ {
 		p := s.placement("v", "p1", seq)
 		if !contains(p, 3) {

@@ -2,16 +2,15 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"io/fs"
 )
 
-// This file implements the scrub-repair pass of the replicated sharded
-// backend: walk every placement, find replicas that are missing or the
-// wrong size, and re-copy them from a healthy copy. Scrub is what turns
-// "first write success makes it durable" into full R-way replication
-// again after a root flaps, is wiped, or is replaced, and it is what the
-// store's background maintenance loop runs (core.Store.Maintain).
+// This file implements the ring's scrub pass: walk every placement,
+// find replicas that are missing or the wrong size, and re-copy them
+// from a healthy copy. Scrub is what turns "first write success makes
+// it durable" into full R-way replication again after a member flaps,
+// is wiped, or is replaced, and it is what the store's background
+// maintenance loop runs (core.Store.Maintain).
 
 // GOPAddr is one GOP's logical address — the coordinate replication
 // places, fails over, and scrubs in.
@@ -21,16 +20,17 @@ type GOPAddr struct {
 	Seq     int
 }
 
-// ScrubStats reports one scrub pass. It is the replication section of
-// operational metrics (vssd /metrics serializes it as-is).
+// ScrubStats reports one scrub pass (the last_scrub field of the
+// /metrics cluster section).
 type ScrubStats struct {
 	// Checked counts distinct GOP addresses examined.
 	Checked int64 `json:"checked"`
-	// Repaired counts replica copies re-created or rewritten.
+	// Repaired counts replica copies re-created or rewritten, by the
+	// pass's leading journal drain or by its walk.
 	Repaired int64 `json:"repaired"`
 	// Unrecoverable counts addresses that needed repair but had no
 	// readable source copy of the authoritative size — including
-	// oracle-known addresses with no copy left on ANY shard. Nonzero
+	// oracle-known addresses with no copy left on ANY member. Nonzero
 	// means data loss (or divergence the catalog no longer describes);
 	// a GOP evicted while the scrub ran can transiently over-count it,
 	// so the durable signal is a nonzero count across consecutive
@@ -75,48 +75,21 @@ func (m StaticSizes) All() map[GOPAddr]int64 { return m }
 
 // ExpectReader is implemented by backends that can use a caller's
 // expected-size hint to fail over past stale replicas (see
-// Sharded.ReadGOPExpect). Callers discover it through the wrap chain
+// Ring.ReadGOPExpect). Callers discover it through the wrap chain
 // the way AsScrubber does; Instrumented forwards it.
 type ExpectReader interface {
 	ReadGOPExpect(video, physDir string, seq int, want int64) ([]byte, error)
 }
 
-// ShardHealthStats is one shard's row in ReplicationStats.
-type ShardHealthStats struct {
-	Root string `json:"root"`
-	// Errors is the cumulative count of failed operations against this
-	// shard (reads, writes, deletes, repairs).
-	Errors int64 `json:"errors"`
-	// Demoted reports whether the shard currently sits at the back of
-	// the read failover order (demoteAfter consecutive failures, not yet
-	// followed by a success).
-	Demoted bool `json:"demoted"`
-}
-
-// ReplicationStats is a point-in-time snapshot of the replicated
-// backend's placement config, failover activity, per-shard health, and
-// the most recent scrub pass.
-type ReplicationStats struct {
-	Shards   int `json:"shards"`
-	Replicas int `json:"replicas"`
-	// Failovers counts reads served by a non-primary replica.
-	Failovers int64 `json:"failovers"`
-	// Scrubs counts completed scrub passes; LastScrub reports the most
-	// recent one (zero value if none has run).
-	Scrubs      int64              `json:"scrubs"`
-	LastScrub   ScrubStats         `json:"last_scrub"`
-	ShardHealth []ShardHealthStats `json:"shard_health"`
-}
-
 // Scrubber is implemented by backends that keep redundant copies and can
-// check and repair them. The replicated sharded backend is the one
-// implementation; callers discover it through AsScrubber so metrics
-// wrappers (Instrumented) and user shells stay transparent.
+// check and repair them. The Ring is the one implementation; callers
+// discover it through AsScrubber so metrics wrappers (Instrumented) and
+// user shells stay transparent.
 type Scrubber interface {
-	// Scrub runs one check-and-repair pass; see Sharded.Scrub.
+	// Scrub runs one check-and-repair pass; see Ring.Scrub.
 	Scrub(expect SizeOracle) (ScrubStats, error)
-	// ReplicationStats snapshots replication health counters.
-	ReplicationStats() ReplicationStats
+	// ClusterStats snapshots placement and health counters.
+	ClusterStats() ClusterStats
 }
 
 // AsScrubber returns the nearest Scrubber in b's wrap chain (chasing
@@ -135,119 +108,39 @@ func AsScrubber(b Backend) Scrubber {
 	return nil
 }
 
-// ReplicationStats snapshots the backend's replication health: placement
-// config, failover count, per-shard error counters and demotion state,
-// and the last scrub pass. Safe for concurrent use.
-func (s *Sharded) ReplicationStats() ReplicationStats {
-	st := ReplicationStats{
-		Shards:    len(s.shards),
-		Replicas:  s.replicas,
-		Failovers: s.failovers.Load(),
-	}
-	st.ShardHealth = make([]ShardHealthStats, len(s.shards))
-	for i := range s.shards {
-		st.ShardHealth[i] = ShardHealthStats{
-			Root:    s.shards[i].Root(),
-			Errors:  s.health[i].errors.Load(),
-			Demoted: s.health[i].streak.Load() >= demoteAfter,
-		}
-	}
-	s.scrubMu.Lock()
-	st.Scrubs, st.LastScrub = s.scrubs, s.lastScrub
-	s.scrubMu.Unlock()
-	return st
-}
-
-// Scrub walks every stored GOP address, determines its authoritative
-// size, and re-copies missing or wrong-sized replicas onto their
-// placement shards from a healthy copy; see ScrubReplicas for the full
-// semantics. The returned stats are also recorded for ReplicationStats.
-func (s *Sharded) Scrub(expect SizeOracle) (ScrubStats, error) {
-	stores := make([]Backend, len(s.shards))
-	for i, sh := range s.shards {
-		stores[i] = sh
-	}
-	st, err := ScrubReplicas(ReplicaSet{
-		Stores:     stores,
-		Placement:  s.placement,
-		NoteResult: s.noteResult,
-		ErrTag:     shardErr,
-	}, expect)
-	s.scrubMu.Lock()
-	s.scrubs++
-	s.lastScrub = st
-	s.scrubMu.Unlock()
-	return st, err
-}
-
-// ReplicaSet describes a group of replica stores to the generic
-// scrub-repair engine (ScrubReplicas): the sharded backend's localfs
-// roots, or the router's remote vssd nodes. Stores are indexed the way
-// Placement's results index them.
-type ReplicaSet struct {
-	// Stores are the replica stores.
-	Stores []Backend
-	// Placement maps a GOP address to the stores holding its replicas,
-	// primary first (the sharded/router FNV-1a ring).
-	Placement func(video, physDir string, seq int) []int
-	// NoteResult feeds one store operation's outcome into the owner's
-	// health accounting (nil error = success). Optional.
-	NoteResult func(store int, err error)
-	// ErrTag decorates a per-store error with the store's identity; nil
-	// selects a generic "store %d" tag. The error chain must be
-	// preserved for errors.Is.
-	ErrTag func(store int, err error) error
-}
-
-// ScrubReplicas is the scrub-repair engine shared by every replicated
-// backend (Sharded across roots, the router's Cluster across nodes): it
-// walks every stored GOP address, determines its authoritative size, and
-// re-copies missing or wrong-sized replicas onto their placement stores
-// from a healthy copy. The authoritative size is the oracle's (the
-// catalog's expectation) when some copy actually has it; otherwise the
-// largest stored copy wins — the heuristic for standalone use
-// (expect == nil) and the graceful fallback when the catalog and every
-// copy disagree (then consistent replicas are left alone rather than
-// churned).
+// scrubPass walks every stored GOP address, determines its
+// authoritative size, and re-copies missing or wrong-sized replicas onto
+// their placement members from a healthy copy. The authoritative size
+// is the oracle's (the catalog's expectation) when some copy actually
+// has it; otherwise the largest stored copy wins — the heuristic for
+// standalone use (expect == nil) and the graceful fallback when the
+// catalog and every copy disagree (then consistent replicas are left
+// alone rather than churned).
 //
 // The catalog snapshot address (CatalogSnapshotVideo) is skipped
 // entirely: Maintain rewrites it wholesale every pass and the oracle
 // never describes it, so "repairing" it would only churn against the
 // writer.
 //
-// The engine is safe to run concurrently with reads and writes: repairs
-// go through the same atomic per-store writes as foreground traffic, so
-// readers never observe a torn GOP. Two races are tolerated and benign:
-// a GOP evicted mid-scrub is skipped once every source read misses, and
-// a repair can momentarily resurrect a just-deleted GOP file (the
-// catalog no longer references it; the next scrub skips it as an orphan
-// and DeletePhysical still reclaims it).
+// The pass is safe to run concurrently with reads and writes: repairs
+// go through the same atomic per-member writes as foreground traffic,
+// so readers never observe a torn GOP. Two races are tolerated and
+// benign: a GOP evicted mid-scrub is skipped once every source read
+// misses, and a repair can momentarily resurrect a just-deleted GOP
+// file (the catalog no longer references it; the next scrub skips it as
+// an orphan and DeletePhysical still reclaims it).
 //
-// The error joins per-store operational failures; a nonzero
+// The error joins per-member operational failures; a nonzero
 // Unrecoverable count is reported in the stats, not as an error.
-func ScrubReplicas(rs ReplicaSet, expect SizeOracle) (ScrubStats, error) {
-	tag := rs.ErrTag
-	if tag == nil {
-		tag = func(i int, err error) error {
-			if err == nil {
-				return nil
-			}
-			return fmt.Errorf("store %d: %w", i, err)
-		}
-	}
-	note := rs.NoteResult
-	if note == nil {
-		note = func(int, error) {}
-	}
-
+func (r *Ring) scrubPass(expect SizeOracle) (ScrubStats, error) {
 	type copyInfo struct {
-		store int
-		size  int64
+		node int
+		size int64
 	}
 	copies := make(map[GOPAddr][]copyInfo)
 	var errs []error
-	for i, store := range rs.Stores {
-		err := store.Walk(func(video, physDir string, seq int, size int64) error {
+	for i, node := range r.nodes {
+		err := node.Walk(func(video, physDir string, seq int, size int64) error {
 			if video == CatalogSnapshotVideo {
 				return nil
 			}
@@ -256,11 +149,11 @@ func ScrubReplicas(rs ReplicaSet, expect SizeOracle) (ScrubStats, error) {
 			return nil
 		})
 		if err != nil {
-			// A store whose tree cannot even be walked is degraded; keep
+			// A member whose tree cannot even be walked is degraded; keep
 			// scrubbing the others — its GOPs repair FROM the healthy
-			// stores, not from it.
-			note(i, err)
-			errs = append(errs, tag(i, err))
+			// members, not from it.
+			r.noteResult(i, err)
+			errs = append(errs, r.nodeErr(i, err))
 		}
 	}
 
@@ -293,11 +186,11 @@ func ScrubReplicas(rs ReplicaSet, expect SizeOracle) (ScrubStats, error) {
 		}
 		have := make(map[int]int64, len(cs))
 		for _, c := range cs {
-			have[c.store] = c.size
+			have[c.node] = c.size
 		}
 		var needs []int
 		sources := make([]int, 0, len(cs))
-		for _, i := range rs.Placement(a.Video, a.PhysDir, a.Seq) {
+		for _, i := range r.placement(a.Video, a.PhysDir, a.Seq) {
 			if sz, ok := have[i]; ok && sz == want {
 				sources = append(sources, i)
 			} else {
@@ -307,24 +200,24 @@ func ScrubReplicas(rs ReplicaSet, expect SizeOracle) (ScrubStats, error) {
 		if len(needs) == 0 {
 			continue
 		}
-		// Copies stranded on non-placement stores (an earlier replicas
+		// Copies stranded on non-placement members (an earlier replicas
 		// setting) can still seed a repair.
 		for _, c := range cs {
-			if c.size == want && !contains(sources, c.store) && !contains(needs, c.store) {
-				sources = append(sources, c.store)
+			if c.size == want && !contains(sources, c.node) && !contains(needs, c.node) {
+				sources = append(sources, c.node)
 			}
 		}
 		var data []byte
 		found := false
 		sawMissing := false
 		for _, src := range sources {
-			d, err := rs.Stores[src].ReadGOP(a.Video, a.PhysDir, a.Seq)
+			d, err := r.nodes[src].ReadGOP(a.Video, a.PhysDir, a.Seq)
 			if err != nil {
 				if errors.Is(err, fs.ErrNotExist) {
 					sawMissing = true // likely deleted mid-scrub
 				} else {
-					note(src, err)
-					errs = append(errs, tag(src, err))
+					r.noteResult(src, err)
+					errs = append(errs, r.nodeErr(src, err))
 				}
 				continue
 			}
@@ -348,17 +241,17 @@ func ScrubReplicas(rs ReplicaSet, expect SizeOracle) (ScrubStats, error) {
 			}
 		}
 		for _, i := range needs {
-			if err := rs.Stores[i].WriteGOP(a.Video, a.PhysDir, a.Seq, data); err != nil {
-				note(i, err)
-				errs = append(errs, tag(i, err))
+			if err := r.nodes[i].WriteGOP(a.Video, a.PhysDir, a.Seq, data); err != nil {
+				r.noteResult(i, err)
+				errs = append(errs, r.nodeErr(i, err))
 				continue
 			}
-			note(i, nil)
+			r.noteResult(i, nil)
 			st.Repaired++
 		}
 	}
 
-	// Addresses the catalog expects but NO store holds: total loss —
+	// Addresses the catalog expects but NO member holds: total loss —
 	// the walk cannot see them, so they are enumerated from the oracle.
 	// A live re-probe filters GOPs written after the walk; a GOP evicted
 	// after the oracle snapshot still over-counts transiently (see the
@@ -378,8 +271,8 @@ func ScrubReplicas(rs ReplicaSet, expect SizeOracle) (ScrubStats, error) {
 		}
 		st.Checked++
 		alive := false
-		for _, i := range rs.Placement(a.Video, a.PhysDir, a.Seq) {
-			if _, err := rs.Stores[i].GOPSize(a.Video, a.PhysDir, a.Seq); err == nil {
+		for _, i := range r.placement(a.Video, a.PhysDir, a.Seq) {
+			if _, err := r.nodes[i].GOPSize(a.Video, a.PhysDir, a.Seq); err == nil {
 				alive = true
 				break
 			}

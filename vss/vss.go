@@ -105,7 +105,9 @@
 //     shards surfacing errors per GOP rather than store-wide. Root ORDER
 //     is part of the store's identity: reopen with the same roots in the
 //     same order (ShardRoots encodes the conventional layout vssd's
-//     -shards flag uses).
+//     -shards flag uses). It is the same replicated ring a vssrouterd
+//     router runs over remote vssd nodes, with root paths in place of
+//     node addresses.
 //   - NewMemBackend: in-memory, for tests and IO-free benchmarking.
 //
 // # Replication
@@ -124,10 +126,12 @@
 //     serves successfully again.
 //   - Maintain runs a scrub pass that walks every placement and
 //     re-copies missing or wrong-sized replicas from a healthy copy,
-//     using the catalog's expected sizes as ground truth; ScrubStats
-//     (checked/repaired/unrecoverable) and per-shard health are exposed
-//     via System.ReplicationStats and the "replication" section of vssd
-//     /metrics.
+//     using the catalog's expected sizes as ground truth, after first
+//     restoring the copies a write-repair journal recorded missing
+//     (failed replica writes, failover reads that caught a root without
+//     its copy). ScrubStats (checked/repaired/unrecoverable), the
+//     journal and per-root health are exposed via System.ClusterStats
+//     and the "cluster" section of vssd /metrics.
 //
 // Deleting one root's contents with replicas=2 therefore loses nothing:
 // every GOP keeps serving from its surviving replica, and the next
@@ -314,25 +318,19 @@ type Backend = storage.Backend
 // bytes moved, and cumulative latency (mean latency = nanos/ops).
 type BackendStats = storage.BackendStats
 
-// ReplicationStats snapshots a replicated backend's placement config,
-// read-failover count, per-shard health (error counters and demotion
-// state), and the most recent scrub pass; see System.ReplicationStats.
-type ReplicationStats = storage.ReplicationStats
-
 // ScrubStats reports one scrub-repair pass over the replicated backend:
 // addresses checked, replica copies repaired, addresses with no healthy
 // source copy (unrecoverable), and orphaned files skipped.
 type ScrubStats = storage.ScrubStats
 
-// ShardHealthStats is one shard root's row in ReplicationStats.
-type ShardHealthStats = storage.ShardHealthStats
-
-// ClusterStats snapshots a routed vssd fleet's health: per-node errors
-// and demotions, read failovers, write-repair journal depth, repair and
-// scrub counters; see System.ClusterStats and internal/router.
+// ClusterStats snapshots a replicated ring's health — sharded roots or a
+// routed vssd fleet: per-member errors and demotions, read failovers,
+// write-repair journal depth, repair and scrub counters; see
+// System.ClusterStats.
 type ClusterStats = storage.ClusterStats
 
-// NodeHealthStats is one node's row in ClusterStats.
+// NodeHealthStats is one ring member's row in ClusterStats (Addr is a
+// node's base URL or a shard's root path).
 type NodeHealthStats = storage.NodeHealthStats
 
 // NewLocalBackend opens (creating if necessary) a single-root localfs
@@ -386,22 +384,12 @@ func OpenWith(dir string, opts Options, backend Backend) (*System, error) {
 // latency counters. Safe for concurrent use.
 func (s *System) BackendStats() BackendStats { return s.store.BackendStats() }
 
-// ReplicationStats snapshots replica placement, read-failover, per-shard
-// health, and scrub counters when the backend keeps redundant copies
-// (NewShardedBackend with replicas > 1 — though any sharded backend
-// reports). ok is false for backends with no replication machinery
-// (localfs, mem). Safe for concurrent use; also served by vssd /metrics
-// as the "replication" section.
-func (s *System) ReplicationStats() (ReplicationStats, bool) {
-	return s.store.ReplicationStats()
-}
-
-// ClusterStats snapshots routed-fleet health when the backend routes
-// GOPs across remote vssd nodes (the vssrouterd daemon's cluster
-// backend): per-node errors and demotions, read failovers, write-repair
-// journal depth, repair and scrub counters. ok is false for local
-// backends. Safe for concurrent use; also served by /metrics as the
-// "cluster" section.
+// ClusterStats snapshots replicated-ring health when the backend is a
+// ring — NewShardedBackend roots (any replicas setting) or the
+// vssrouterd daemon's routed fleet: per-member errors and demotions,
+// read failovers, write-repair journal depth, repair and scrub
+// counters. ok is false for single-store backends (localfs, mem). Safe
+// for concurrent use; also served by /metrics as the "cluster" section.
 func (s *System) ClusterStats() (ClusterStats, bool) { return s.store.ClusterStats() }
 
 // Backend exposes the system's (metrics-instrumented) storage backend —

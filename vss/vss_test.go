@@ -208,8 +208,8 @@ func TestPublicAPIBackends(t *testing.T) {
 	if err := sys.Maintain(); err != nil {
 		t.Fatal(err)
 	}
-	rep, ok := sys.ReplicationStats()
-	if !ok || rep.Shards != 3 || rep.Replicas != 2 || rep.Scrubs == 0 {
+	rep, ok := sys.ClusterStats()
+	if !ok || rep.Nodes != 3 || rep.Replicas != 2 || rep.Scrubs == 0 {
 		t.Errorf("replication stats %+v ok=%v", rep, ok)
 	}
 	if rep.LastScrub.Checked == 0 || rep.LastScrub.Unrecoverable != 0 {
@@ -230,7 +230,7 @@ func TestPublicAPIBackends(t *testing.T) {
 	if st := memSys.BackendStats(); st.Backend != "mem" {
 		t.Errorf("mem backend stats %+v", st)
 	}
-	if _, ok := memSys.ReplicationStats(); ok {
+	if _, ok := memSys.ClusterStats(); ok {
 		t.Error("mem backend reported replication stats")
 	}
 }
